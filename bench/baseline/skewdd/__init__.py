@@ -1,0 +1,22 @@
+"""
+skewdd: skew divided difference operators over exact integer arithmetic.
+
+Submodules:
+
+- ``symgroup``: symmetric-group combinatorics (words, Bruhat order,
+  reflection orderings, reduced subword enumeration).
+- ``polyring``: sparse integer polynomials, the variable-permuting action,
+  divided differences, Schubert polynomials, and the direct skew action.
+- ``fkalg``: the free-algebra model of the quadratic algebra on generators
+  x(i,j): braided coproduct, slicing operators, pairing, antipodes.
+- ``fkcanon``: equality oracle modulo the commutation and three-term
+  relations, by exact sparse elimination per graded component.
+- ``skew``: four routes to the skew element x_{w/v} (signed, pairing,
+  explicit positive, recurrence positive) and Schubert structure constants.
+- ``verify``: randomized and exhaustive property suites.
+- ``cli``: the ``skewdd`` command-line tool.
+"""
+
+__version__ = "0.1.0"
+
+__all__ = ["symgroup", "polyring", "fkalg", "fkcanon", "skew", "verify", "cli"]

@@ -1,0 +1,876 @@
+"""
+Free-algebra model of the quadratic algebra on generators x(i,j).
+
+Words are tuples of canonically oriented letters (i, j) with i < j; the
+reversed letter x(j,i) is -x(i,j).  The only rewriting applied eagerly is
+sign canonicalization and annihilation of words with two equal adjacent
+letters.  Commutation and the three-term relation are deliberately NOT
+applied here; equality modulo those lives in :mod:`skewdd.fkcanon`.
+
+>>> A = generator(1, 2, 3) * generator(2, 3, 3)
+>>> print(A)
+x(1,2)x(2,3)
+>>> print(A * A)
+x(1,2)x(2,3)x(1,2)x(2,3)
+>>> print(generator(1, 2, 3) * generator(1, 2, 3))
+0
+"""
+
+from __future__ import annotations
+
+import json
+import re
+
+from . import symgroup
+from .symgroup import Perm
+
+__all__ = [
+    "Letter",
+    "FKWord",
+    "FKElement",
+    "FKTensor",
+    "ParseError",
+    "canonical_letter",
+    "canonical_word",
+    "generator",
+    "relabel_word",
+    "act",
+    "sn_degree",
+    "coproduct",
+    "delta_op",
+    "nabla_op",
+    "pairing",
+    "pairing_bruhat",
+    "antipode",
+    "sbar_word",
+    "sbar",
+    "reverse_element",
+    "nilcoxeter_word",
+    "nilcoxeter_element",
+    "random_word",
+]
+
+Letter = tuple[int, int]
+FKWord = tuple[Letter, ...]
+
+
+class ParseError(ValueError):
+    """Malformed text input; carries the 0-based offset of the problem."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+def canonical_letter(i: int, j: int) -> tuple[Letter, int]:
+    """Orient a generator index pair, returning ((min,max), sign).
+
+    >>> canonical_letter(2, 1)
+    ((1, 2), -1)
+    """
+    if i == j:
+        raise ValueError(f"generator indices must differ, got ({i},{j})")
+    if i < j:
+        return (i, j), 1
+    return (j, i), -1
+
+
+def canonical_word(letters) -> tuple[FKWord | None, int]:
+    """Orient every letter; returns (None, 0) when two equal letters end up
+    adjacent, since such a word is zero."""
+    sign = 1
+    out: list[Letter] = []
+    for a, b in letters:
+        g, s = canonical_letter(a, b)
+        if out and out[-1] == g:
+            return None, 0
+        sign *= s
+        out.append(g)
+    return tuple(out), sign
+
+
+class FKElement:
+    """Integer combination of words in the generators x(i,j), 1 <= i < j <= n.
+
+    Construction reorients letters and drops words with equal adjacent
+    letters:
+
+    >>> print(FKElement(3, {((2, 1),): 5}))
+    -5*x(1,2)
+    >>> print(FKElement(3, {((1, 2), (2, 1)): 5}))
+    0
+    """
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms=None):
+        self.n = n
+        self.terms: dict[FKWord, int] = {}
+        if terms:
+            items = terms.items() if isinstance(terms, dict) else terms
+            for word, c in items:
+                if not c:
+                    continue
+                w, s = canonical_word(word)
+                if w is None:
+                    continue
+                for a, b in w:
+                    if not (1 <= a and b <= n):
+                        raise ValueError(f"letter ({a},{b}) outside window {n}")
+                self.terms[w] = self.terms.get(w, 0) + s * c
+            self.terms = {w: c for w, c in self.terms.items() if c}
+
+    @classmethod
+    def zero(cls, n: int) -> "FKElement":
+        return cls(n)
+
+    @classmethod
+    def one(cls, n: int) -> "FKElement":
+        return cls(n, {(): 1})
+
+    @classmethod
+    def from_word(cls, word, n: int, coeff: int = 1) -> "FKElement":
+        return cls(n, {tuple(tuple(g) for g in word): coeff})
+
+    def extend(self, n: int) -> "FKElement":
+        if n < self.n:
+            raise ValueError(f"cannot shrink window {self.n} to {n}")
+        if n == self.n:
+            return self
+        out = FKElement(n)
+        out.terms = dict(self.terms)
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        """Maximal word length, -1 for zero."""
+        if not self.terms:
+            return -1
+        return max(len(w) for w in self.terms)
+
+    def is_homogeneous(self) -> bool:
+        return len({len(w) for w in self.terms}) <= 1
+
+    def degree_components(self) -> dict[int, "FKElement"]:
+        """Split into homogeneous pieces, keyed by degree."""
+        out: dict[int, FKElement] = {}
+        for w, c in self.terms.items():
+            out.setdefault(len(w), FKElement(self.n)).terms[w] = c
+        return out
+
+    def coefficient(self, word) -> int:
+        w, s = canonical_word(tuple(tuple(g) for g in word))
+        if w is None:
+            return 0
+        return s * self.terms.get(w, 0)
+
+    def is_positive(self) -> bool:
+        """Nonzero with every stored coefficient positive."""
+        return bool(self.terms) and all(c > 0 for c in self.terms.values())
+
+    def _common(self, other: "FKElement") -> tuple["FKElement", "FKElement"]:
+        n = max(self.n, other.n)
+        return self.extend(n), other.extend(n)
+
+    def __add__(self, other) -> "FKElement":
+        if isinstance(other, int):
+            other = FKElement(self.n, {(): other})
+        a, b = self._common(other)
+        terms = dict(a.terms)
+        for w, c in b.terms.items():
+            terms[w] = terms.get(w, 0) + c
+        out = FKElement(a.n)
+        out.terms = {w: c for w, c in terms.items() if c}
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FKElement":
+        out = FKElement(self.n)
+        out.terms = {w: -c for w, c in self.terms.items()}
+        return out
+
+    def __sub__(self, other) -> "FKElement":
+        if isinstance(other, int):
+            other = FKElement(self.n, {(): other})
+        return self + (-other)
+
+    def __rsub__(self, other) -> "FKElement":
+        return (-self) + other
+
+    def __mul__(self, other) -> "FKElement":
+        if isinstance(other, int):
+            out = FKElement(self.n)
+            if other:
+                out.terms = {w: c * other for w, c in self.terms.items()}
+            return out
+        a, b = self._common(other)
+        terms: dict[FKWord, int] = {}
+        for w1, c1 in a.terms.items():
+            for w2, c2 in b.terms.items():
+                # both factors are clean, so only the seam can collide
+                if w1 and w2 and w1[-1] == w2[0]:
+                    continue
+                w = w1 + w2
+                terms[w] = terms.get(w, 0) + c1 * c2
+        out = FKElement(a.n)
+        out.terms = {w: c for w, c in terms.items() if c}
+        return out
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            return self.terms == ({} if other == 0 else {(): other})
+        if not isinstance(other, FKElement):
+            return NotImplemented
+        a, b = self._common(other)
+        return a.terms == b.terms
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def sorted_terms(self) -> list[tuple[FKWord, int]]:
+        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for w, c in self.sorted_terms():
+            body = word_text(w) if w else None
+            if body is None:
+                chunk = str(abs(c))
+            elif abs(c) == 1:
+                chunk = body
+            else:
+                chunk = f"{abs(c)}*{body}"
+            parts.append(("-" if c < 0 else "+", chunk))
+        sign, chunk = parts[0]
+        out = ("-" if sign == "-" else "") + chunk
+        for sign, chunk in parts[1:]:
+            out += f" {sign} {chunk}"
+        return out
+
+    def __repr__(self) -> str:
+        return f"FKElement({self.n}, {self.terms!r})"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "terms": [
+                {"coeff": c, "word": [list(g) for g in w]}
+                for w, c in self.sorted_terms()
+            ],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "FKElement":
+        n = int(data["n"])
+        terms = [
+            (tuple((int(a), int(b)) for a, b in t["word"]), int(t["coeff"]))
+            for t in data["terms"]
+        ]
+        return cls(n, terms)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "FKElement":
+        return cls.from_json_dict(json.loads(text))
+
+    @classmethod
+    def parse(cls, text: str, n: int) -> "FKElement":
+        """Parse the text form produced by ``str``.
+
+        >>> print(FKElement.parse("x(2,1)x(2,3) + 2", 3))
+        2 - x(1,2)x(2,3)
+        """
+        terms, pos = _parse_terms(text, 0, n)
+        if pos != len(text):
+            raise ParseError("trailing input", pos)
+        return cls(n, terms)
+
+
+def word_text(w: FKWord) -> str:
+    """Text form of one word, e.g. "x(1,2)x(2,3)"; empty word prints "1"."""
+    if not w:
+        return "1"
+    return "".join(f"x({a},{b})" for a, b in w)
+
+
+_INT_RE = re.compile(r"\d+")
+
+
+def _skip_spaces(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos] == " ":
+        pos += 1
+    return pos
+
+
+def _parse_int(text: str, pos: int) -> tuple[int, int]:
+    m = _INT_RE.match(text, pos)
+    if not m:
+        raise ParseError("expected an integer", pos)
+    return int(m.group()), m.end()
+
+
+def _parse_factor(text: str, pos: int) -> tuple[Letter, int]:
+    # 'x' '(' int ',' int ')'
+    if pos >= len(text) or text[pos] != "x":
+        raise ParseError("expected a generator like x(1,2)", pos)
+    pos += 1
+    if pos >= len(text) or text[pos] != "(":
+        raise ParseError("expected '(' after x", pos)
+    a, pos = _parse_int(text, pos + 1)
+    if pos >= len(text) or text[pos] != ",":
+        raise ParseError("expected ',' inside generator", pos)
+    b, pos = _parse_int(text, pos + 1)
+    if pos >= len(text) or text[pos] != ")":
+        raise ParseError("expected ')' closing generator", pos)
+    return (a, b), pos + 1
+
+
+def _parse_word(text: str, pos: int) -> tuple[FKWord | None, int]:
+    # '1' for the empty word, else one or more factors
+    if pos < len(text) and text[pos] == "1":
+        return (), pos + 1
+    letters = []
+    while pos < len(text) and text[pos] == "x":
+        g, pos = _parse_factor(text, pos)
+        letters.append(g)
+    if not letters:
+        return None, pos
+    return tuple(letters), pos
+
+
+def _parse_term(text: str, pos: int, n: int) -> tuple[FKWord, int, int]:
+    # [int ['*']] word?  -- at least one of coefficient, word
+    coeff = None
+    start = pos
+    m = _INT_RE.match(text, pos)
+    if m:
+        coeff = int(m.group())
+        pos = m.end()
+        if pos < len(text) and text[pos] == "*":
+            pos += 1
+            word, pos = _parse_word(text, pos)
+            if word is None:
+                raise ParseError("expected a word after '*'", pos)
+            return word, coeff, pos
+        return (), coeff, pos
+    word, pos = _parse_word(text, pos)
+    if word is None:
+        raise ParseError("expected a term", start)
+    return word, 1, pos
+
+
+def _parse_terms(text: str, pos: int, n: int) -> tuple[list[tuple[FKWord, int]], int]:
+    terms: list[tuple[FKWord, int]] = []
+    pos = _skip_spaces(text, pos)
+    sign = 1
+    if pos < len(text) and text[pos] in "+-":
+        sign = -1 if text[pos] == "-" else 1
+        pos = _skip_spaces(text, pos + 1)
+    if pos >= len(text):
+        raise ParseError("empty element text", pos)
+    while True:
+        word, coeff, pos = _parse_term(text, pos, n)
+        for a, b in word:
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ParseError(f"index out of window {n}", pos)
+        terms.append((word, sign * coeff))
+        pos = _skip_spaces(text, pos)
+        if pos >= len(text) or text[pos] not in "+-":
+            return terms, pos
+        sign = -1 if text[pos] == "-" else 1
+        pos = _skip_spaces(text, pos + 1)
+
+
+def generator(i: int, j: int, n: int) -> FKElement:
+    """The element x(i,j) inside window n; x(j,i) = -x(i,j).
+
+    >>> print(generator(2, 1, 3))
+    -x(1,2)
+    """
+    g, s = canonical_letter(i, j)
+    if not (1 <= g[0] and g[1] <= n):
+        raise ValueError(f"generator ({i},{j}) outside window {n}")
+    return FKElement(n, {(g,): s})
+
+
+def relabel_word(word: FKWord, w: Perm) -> tuple[FKWord, int]:
+    """Apply the index relabeling i -> w(i) to every letter, reorienting."""
+    sign = 1
+    out = []
+    for a, b in word:
+        g, s = canonical_letter(w[a - 1], w[b - 1])
+        sign *= s
+        out.append(g)
+    return tuple(out), sign
+
+
+def act(w: Perm, A: FKElement) -> FKElement:
+    """Relabel generator indices by w.
+
+    >>> print(act((1, 2, 4, 3), FKElement.parse("x(1,2)x(2,3)", 4)))
+    x(1,2)x(2,4)
+    >>> print(act((2, 1), generator(1, 2, 2)))
+    -x(1,2)
+    """
+    n = max(len(w), A.n)
+    w = symgroup.embed(w, n)
+    out = FKElement(n)
+    for word, c in A.terms.items():
+        rw, s = relabel_word(word, w)
+        out.terms[rw] = out.terms.get(rw, 0) + s * c
+    out.terms = {k: v for k, v in out.terms.items() if v}
+    return out
+
+
+def sn_degree(word, n: int) -> Perm:
+    """The product of the letters' transpositions, in word order.
+
+    >>> sn_degree(((1, 2), (2, 3)), 3)
+    (2, 3, 1)
+    """
+    out = symgroup.identity(n)
+    for a, b in word:
+        out = symgroup.compose(out, symgroup.transposition(a, b, n))
+    return out
+
+
+class FKTensor:
+    """Integer combination of ordered word pairs (coproduct values)."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms=None):
+        self.n = n
+        self.terms: dict[tuple[FKWord, FKWord], int] = {}
+        if terms:
+            items = terms.items() if isinstance(terms, dict) else terms
+            for key, c in items:
+                if c:
+                    self.terms[key] = self.terms.get(key, 0) + c
+            self.terms = {k: c for k, c in self.terms.items() if c}
+
+    @classmethod
+    def of(cls, A: FKElement, B: FKElement) -> "FKTensor":
+        """The simple tensor A (x) B."""
+        n = max(A.n, B.n)
+        out = cls(n)
+        for wa, ca in A.terms.items():
+            for wb, cb in B.terms.items():
+                out.terms[(wa, wb)] = out.terms.get((wa, wb), 0) + ca * cb
+        out.terms = {k: c for k, c in out.terms.items() if c}
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def swap(self) -> "FKTensor":
+        out = FKTensor(self.n)
+        out.terms = {(r, l): c for (l, r), c in self.terms.items()}
+        return out
+
+    def map_factors(self, f, g) -> "FKTensor":
+        """Apply word -> FKElement maps to the two slots, bilinearly."""
+        out = FKTensor(self.n)
+        for (l, r), c in self.terms.items():
+            L: FKElement = f(l)
+            R: FKElement = g(r)
+            for wl, cl in L.terms.items():
+                for wr, cr in R.terms.items():
+                    key = (wl, wr)
+                    out.terms[key] = out.terms.get(key, 0) + c * cl * cr
+        out.terms = {k: c for k, c in out.terms.items() if c}
+        return out
+
+    def left_component(self, word) -> FKElement:
+        """The right-slot element paired with an exact left-slot word."""
+        word = tuple(tuple(g) for g in word)
+        out = FKElement(self.n)
+        for (l, r), c in self.terms.items():
+            if l == word:
+                out.terms[r] = out.terms.get(r, 0) + c
+        out.terms = {k: v for k, v in out.terms.items() if v}
+        return out
+
+    def __add__(self, other: "FKTensor") -> "FKTensor":
+        n = max(self.n, other.n)
+        out = FKTensor(n)
+        out.terms = dict(self.terms)
+        for k, c in other.terms.items():
+            out.terms[k] = out.terms.get(k, 0) + c
+        out.terms = {k: c for k, c in out.terms.items() if c}
+        return out
+
+    def __neg__(self) -> "FKTensor":
+        out = FKTensor(self.n)
+        out.terms = {k: -c for k, c in self.terms.items()}
+        return out
+
+    def __sub__(self, other: "FKTensor") -> "FKTensor":
+        return self + (-other)
+
+    def __mul__(self, other: int) -> "FKTensor":
+        out = FKTensor(self.n)
+        if other:
+            out.terms = {k: c * other for k, c in self.terms.items()}
+        return out
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FKTensor):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def sorted_terms(self) -> list[tuple[tuple[FKWord, FKWord], int]]:
+        return sorted(self.terms.items(), key=lambda t: (-len(t[0][0]), t[0][0], t[0][1]))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for (l, r), c in self.sorted_terms():
+            body = f"{word_text(l)} (x) {word_text(r)}"
+            chunk = body if abs(c) == 1 else f"{abs(c)}*{body}"
+            parts.append(("-" if c < 0 else "+", chunk))
+        sign, chunk = parts[0]
+        out = ("-" if sign == "-" else "") + chunk
+        for sign, chunk in parts[1:]:
+            out += f" {sign} {chunk}"
+        return out
+
+    def __repr__(self) -> str:
+        return f"FKTensor({self.n}, {self.terms!r})"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "terms": [
+                {
+                    "coeff": c,
+                    "left": [list(g) for g in l],
+                    "right": [list(g) for g in r],
+                }
+                for (l, r), c in self.sorted_terms()
+            ],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "FKTensor":
+        n = int(data["n"])
+        out = cls(n)
+        for t in data["terms"]:
+            l = tuple((int(a), int(b)) for a, b in t["left"])
+            r = tuple((int(a), int(b)) for a, b in t["right"])
+            out.terms[(l, r)] = out.terms.get((l, r), 0) + int(t["coeff"])
+        out.terms = {k: c for k, c in out.terms.items() if c}
+        return out
+
+    @classmethod
+    def from_json(cls, text: str) -> "FKTensor":
+        return cls.from_json_dict(json.loads(text))
+
+    @classmethod
+    def parse(cls, text: str, n: int) -> "FKTensor":
+        """Parse the text form produced by ``str``."""
+        out = cls(n)
+        pos = _skip_spaces(text, 0)
+        sign = 1
+        if pos < len(text) and text[pos] in "+-":
+            sign = -1 if text[pos] == "-" else 1
+            pos = _skip_spaces(text, pos + 1)
+        if pos >= len(text):
+            raise ParseError("empty tensor text", pos)
+        while True:
+            left, coeff, pos = _parse_term(text, pos, n)
+            pos = _skip_spaces(text, pos)
+            if not text.startswith("(x)", pos):
+                raise ParseError("expected '(x)' between tensor factors", pos)
+            pos = _skip_spaces(text, pos + 3)
+            right, pos = _parse_word(text, pos)
+            if right is None:
+                raise ParseError("expected a word after '(x)'", pos)
+            key = (left, right)
+            out.terms[key] = out.terms.get(key, 0) + sign * coeff
+            pos = _skip_spaces(text, pos)
+            if pos >= len(text):
+                break
+            if text[pos] not in "+-":
+                raise ParseError("expected '+' or '-' between tensor terms", pos)
+            sign = -1 if text[pos] == "-" else 1
+            pos = _skip_spaces(text, pos + 1)
+        out.terms = {k: c for k, c in out.terms.items() if c}
+        return out
+
+
+def coproduct(A: FKElement) -> FKTensor:
+    """The braided coproduct, folding g -> g(x)1 + 1(x)g over each word.
+
+    Sending a letter to the left slot relabels the right slot by that
+    letter's transposition (the braiding); either route dies when the
+    receiving factor already ends with the same letter.
+
+    >>> print(coproduct(FKElement.parse("x(1,2)x(2,3)", 3)))
+    x(1,2)x(2,3) (x) 1 + x(1,2) (x) x(2,3) + x(2,3) (x) x(1,3) + 1 (x) x(1,2)x(2,3)
+    """
+    out = FKTensor(A.n)
+    for word, c in A.terms.items():
+        parts: dict[tuple[FKWord, FKWord], int] = {((), ()): c}
+        for g in word:
+            t = symgroup.transposition(g[0], g[1], A.n)
+            nxt: dict[tuple[FKWord, FKWord], int] = {}
+            for (l, r), cc in parts.items():
+                if not (l and l[-1] == g):
+                    rr, s = relabel_word(r, t)
+                    key = (l + (g,), rr)
+                    nxt[key] = nxt.get(key, 0) + cc * s
+                if not (r and r[-1] == g):
+                    key = (l, r + (g,))
+                    nxt[key] = nxt.get(key, 0) + cc
+            parts = nxt
+        for key, cc in parts.items():
+            out.terms[key] = out.terms.get(key, 0) + cc
+    out.terms = {k: c for k, c in out.terms.items() if c}
+    return out
+
+
+def _delta_letter(a: int, b: int, A: FKElement) -> FKElement:
+    (a, b), s0 = canonical_letter(a, b)
+    n = A.n
+    t = symgroup.transposition(a, b, n)
+    out = FKElement(n)
+    for word, c in A.terms.items():
+        for k, g in enumerate(word):
+            if g != (a, b):
+                continue
+            prefix, s1 = relabel_word(word[:k], t)
+            suffix = word[k + 1:]
+            if prefix and suffix and prefix[-1] == suffix[0]:
+                continue
+            w = prefix + suffix
+            out.terms[w] = out.terms.get(w, 0) + s0 * s1 * c
+    out.terms = {k: v for k, v in out.terms.items() if v}
+    return out
+
+
+def delta_op(P, A: FKElement) -> FKElement:
+    """The left slicing operator of a word (or element) P applied to A.
+
+    For a single letter, picks out each occurrence, relabels everything to
+    its left by the letter's transposition, and concatenates what is left.
+    For a word, the last letter of P acts first.
+
+    >>> print(delta_op(((2, 3),), FKElement.parse("x(1,2)x(2,3)x(1,2)", 3)))
+    x(1,3)x(1,2)
+    >>> print(delta_op(((1, 2),), generator(1, 3, 3)))
+    0
+    """
+    if isinstance(P, FKElement):
+        out = FKElement(max(P.n, A.n))
+        for word, c in P.terms.items():
+            part = delta_op(word, A.extend(out.n))
+            for w, cc in part.terms.items():
+                out.terms[w] = out.terms.get(w, 0) + c * cc
+        out.terms = {k: v for k, v in out.terms.items() if v}
+        return out
+    for a, b in reversed(tuple(P)):
+        A = _delta_letter(a, b, A)
+    return A
+
+
+def _nabla_letter(A: FKElement, a: int, b: int) -> FKElement:
+    (a, b), s0 = canonical_letter(a, b)
+    n = A.n
+    out = FKElement(n)
+    for word, c in A.terms.items():
+        u = symgroup.identity(n)
+        for k in range(len(word) - 1, -1, -1):
+            g = word[k]
+            p, q = u[a - 1], u[b - 1]
+            pair, s1 = canonical_letter(p, q)
+            if pair == g:
+                prefix, suffix = word[:k], word[k + 1:]
+                if not (prefix and suffix and prefix[-1] == suffix[0]):
+                    w = prefix + suffix
+                    out.terms[w] = out.terms.get(w, 0) + s0 * s1 * c
+            u = symgroup.compose(symgroup.transposition(g[0], g[1], n), u)
+    out.terms = {k: v for k, v in out.terms.items() if v}
+    return out
+
+
+def nabla_op(A: FKElement, P) -> FKElement:
+    """The right slicing operator of a word (or element) P applied to A.
+
+    Deletes each letter matching the target pair conjugated through the
+    suffix's transpositions; for a word, the first letter of P acts first.
+
+    >>> print(nabla_op(FKElement.parse("x(1,2)x(2,3)x(1,2)", 3), ((2, 3),)))
+    x(2,3)x(1,2)
+    >>> print(nabla_op(FKElement.parse("x(1,2)x(2,3)", 3), ((2, 3),)))
+    x(1,2)
+    """
+    if isinstance(P, FKElement):
+        out = FKElement(max(P.n, A.n))
+        for word, c in P.terms.items():
+            part = nabla_op(A.extend(out.n), word)
+            for w, cc in part.terms.items():
+                out.terms[w] = out.terms.get(w, 0) + c * cc
+        out.terms = {k: v for k, v in out.terms.items() if v}
+        return out
+    for a, b in tuple(P):
+        A = _nabla_letter(A, a, b)
+    return A
+
+
+def pairing(A: FKElement, B: FKElement) -> int:
+    """The bilinear form: constant coefficient of the slicing of B by A.
+
+    >>> pairing(generator(1, 2, 3), generator(1, 2, 3))
+    1
+    >>> A = FKElement.parse("x(1,2)x(2,3)", 3)
+    >>> pairing(A, FKElement.parse("x(2,3)x(1,2)", 3)), pairing(A, A)
+    (1, 0)
+    """
+    A, B = A._common(B)
+    total = 0
+    for word, c in A.terms.items():
+        total += c * delta_op(word, B).coefficient(())
+    return total
+
+
+def pairing_bruhat(w: Perm, word) -> int:
+    """Chain test equivalent to pairing the word against the standard word
+    element of w: build suffix products stepping length by one each time and
+    compare the final product with the inverse of w.
+
+    >>> pairing_bruhat((3, 1, 2), ((1, 3), (1, 2)))
+    1
+    >>> pairing_bruhat((3, 1, 2), ((1, 2), (1, 3)))
+    0
+    """
+    word = tuple(tuple(g) for g in word)
+    n = max(len(w), max((b for _, b in word), default=1))
+    v = symgroup.identity(n)
+    for a, b in reversed(word):
+        nxt = symgroup.compose(symgroup.transposition(a, b, n), v)
+        if symgroup.length(nxt) != symgroup.length(v) + 1:
+            return 0
+        v = nxt
+    return 1 if v == symgroup.embed(symgroup.inverse(w), n) else 0
+
+
+def antipode(A: FKElement) -> FKElement:
+    """The braided antipode; on a word it yields a single signed word.
+
+    >>> print(antipode(FKElement.parse("x(1,2)x(2,3)x(3,4)", 4)))
+    -x(3,4)x(2,4)x(1,4)
+    """
+    n = A.n
+    out = FKElement(n)
+    for word, c in A.terms.items():
+        img: FKWord = ()
+        sign = 1
+        for g in word:
+            t = symgroup.transposition(g[0], g[1], n)
+            rel, s = relabel_word(img, t)
+            img = (g,) + rel
+            sign = -sign * s
+        out.terms[img] = out.terms.get(img, 0) + sign * c
+    out.terms = {k: v for k, v in out.terms.items() if v}
+    return out
+
+
+def sbar_word(word, n: int) -> tuple[FKWord, int]:
+    """Closed form of the reversed antipode on a single word: letter k maps
+    to its image under the transpositions of the strictly later letters.
+
+    >>> sbar_word(((1, 2), (2, 3), (3, 4)), 4)
+    (((1, 4), (2, 4), (3, 4)), 1)
+    """
+    word = tuple(tuple(g) for g in word)
+    u = symgroup.identity(n)
+    out: list[Letter] = []
+    sign = 1
+    for k in range(len(word) - 1, -1, -1):
+        a, b = word[k]
+        g, s = canonical_letter(u[a - 1], u[b - 1])
+        out.append(g)
+        sign *= s
+        u = symgroup.compose(u, symgroup.transposition(a, b, n))
+    return tuple(reversed(out)), sign
+
+
+def sbar(A: FKElement) -> FKElement:
+    """Linear extension of ``sbar_word``; agrees with reversing the antipode
+    and fixing the sign by degree parity.
+
+    >>> print(sbar(FKElement.parse("x(1,2)x(2,3)x(1,2)", 3)))
+    x(2,3)x(1,3)x(1,2)
+    """
+    out = FKElement(A.n)
+    for word, c in A.terms.items():
+        w, s = sbar_word(word, A.n)
+        cw, s2 = canonical_word(w)
+        if cw is None:
+            continue
+        out.terms[cw] = out.terms.get(cw, 0) + s * s2 * c
+    out.terms = {k: v for k, v in out.terms.items() if v}
+    return out
+
+
+def reverse_element(A: FKElement) -> FKElement:
+    """Reverse the letters of every word.
+
+    >>> print(reverse_element(FKElement.parse("x(1,2)x(2,3)", 3)))
+    x(2,3)x(1,2)
+    """
+    out = FKElement(A.n)
+    for word, c in A.terms.items():
+        out.terms[word[::-1]] = out.terms.get(word[::-1], 0) + c
+    out.terms = {k: v for k, v in out.terms.items() if v}
+    return out
+
+
+def nilcoxeter_word(w: Perm) -> FKWord:
+    """The word of adjacent-pair letters along the canonical reduced word.
+
+    >>> nilcoxeter_word((3, 2, 1))
+    ((1, 2), (2, 3), (1, 2))
+    """
+    return tuple((i, i + 1) for i in symgroup.canonical_reduced_word(w))
+
+
+def nilcoxeter_element(w: Perm, n: int | None = None) -> FKElement:
+    """``nilcoxeter_word`` as an element of window n (default: len(w))."""
+    if n is None:
+        n = len(w)
+    return FKElement.from_word(nilcoxeter_word(symgroup.embed(w, n)), n)
+
+
+def random_word(rng, n: int, degree: int) -> FKWord:
+    """A uniformly random word with no two equal adjacent letters."""
+    letters = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    if degree > 1 and len(letters) < 2:
+        raise ValueError(f"window {n} has no clean word of degree {degree}")
+    out: list[Letter] = []
+    for _ in range(degree):
+        choices = [g for g in letters if not out or g != out[-1]]
+        out.append(rng.choice(choices))
+    return tuple(out)
+
+
+if __name__ == "__main__":
+    import doctest
+
+    doctest.testmod()
