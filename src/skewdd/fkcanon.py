@@ -307,6 +307,8 @@ def _check_limits(n: int, d: int, max_window: int | None, max_degree: int | None
 def _get_elimination(
     n: int, d: int, max_window: int | None = None, max_degree: int | None = None
 ) -> _Elimination:
+    if d < 0:
+        raise ValueError(f"degree {d} is negative")
     _check_limits(n, d, max_window, max_degree)
     key = (n, d)
     elim = _cache.get(key)

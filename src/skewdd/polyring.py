@@ -277,8 +277,8 @@ def divided_difference(i: int, j: int, P: Poly) -> Poly:
     """The operator (P - t_ij P) / (x_i - x_j) for a transposition t_ij.
 
     The quotient is computed by synthetic division of the exact numerator,
-    largest monomial first; the division is always remainder-free, which the
-    implementation asserts rather than checks.
+    largest monomial first.  The division is always remainder-free; a
+    remainder raises ArithmeticError.
 
     >>> print(divided_difference(1, 2, Poly.parse("x1^2*x2", 2)))
     x1*x2
@@ -305,7 +305,8 @@ def divided_difference(i: int, j: int, P: Poly) -> Poly:
         c = numerator.pop(e, 0)
         if not c:
             continue
-        assert e[i - 1] > 0, "synthetic division left a remainder"
+        if not e[i - 1]:
+            raise ArithmeticError("synthetic division left a remainder")
         q = list(e)
         q[i - 1] -= 1
         q = tuple(q)

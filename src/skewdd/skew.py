@@ -107,12 +107,13 @@ def skew_signed(w: Perm, v: Perm) -> FKElement:
     total = FKElement.zero(n)
     for J in symgroup.reduced_subwords(word, v, n):
         Jset = set(J)
-        vinv = symgroup.identity(n)
+        vinv = list(range(1, n + 1))
         letters = []
         for j in range(len(word), 0, -1):
             i = word[j - 1]
             if j in Jset:
-                vinv = symgroup.compose(vinv, symgroup.simple(i, n))
+                # vinv * s_i
+                vinv[i - 1], vinv[i] = vinv[i], vinv[i - 1]
             else:
                 letters.append((vinv[i - 1], vinv[i]))
         total = total + FKElement.from_word(tuple(reversed(letters)), n)
@@ -184,7 +185,10 @@ def skew_recurrence(w: Perm, v: Perm) -> FKElement:
     x(2,3)
     """
     w, v, n = _window(w, v)
-    return _recurrence(w, v, n)
+    # the memo hands out one shared element per pair; give each caller its own
+    out = FKElement(n)
+    out.terms = dict(_recurrence(w, v, n).terms)
+    return out
 
 
 def compute_skew(w: Perm, v: Perm, method: str) -> FKElement:
@@ -231,7 +235,8 @@ def structure_constant(u: Perm, v: Perm, w: Perm) -> int:
     if symgroup.length(u) + symgroup.length(v) != symgroup.length(w):
         raise ValueError("structure constants need length(u) + length(v) = length(w)")
     val = represent(skew_explicit(w, v), polyring.schubert(u, n))
-    assert val.degree() <= 0, "skew application did not drop to a constant"
+    if val.degree() > 0:
+        raise ArithmeticError("skew application did not drop to a constant")
     return val.constant_term()
 
 

@@ -656,6 +656,8 @@ def run_suite(
         raise ValueError(
             f"unknown suite {suite!r}; choose from {', '.join(SUITES)}"
         )
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if suite == "all":
         out = []
         for name in SUITES[:-1]:

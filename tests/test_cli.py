@@ -230,6 +230,13 @@ def test_canon_resource_refusal(capsys):
     assert out == "10\n"
 
 
+def test_canon_negative_degree_is_exit_1(capsys):
+    code, out, err = run_cli(capsys, "canon", "--n", "4", "--dim", "-1")
+    assert code == 1
+    assert out == ""
+    assert "negative" in err
+
+
 def test_bad_flag_is_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["skew", "--n", "4", "--w", "3412", "--v", "2", "--method", "magic"])
@@ -245,6 +252,19 @@ def test_verify_canon_suite(capsys):
     assert "dim(3,2)=4" in out
     assert out.strip().splitlines()[-1].endswith("checks passed")
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_verify_rejects_fewer_than_one_sample(capsys, suite):
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples"):
+            verify.run_suite(suite, samples=samples)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--samples", str(samples)
+        )
+        assert code == 1
+        assert out == ""
+        assert "samples must be at least 1" in err
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):

@@ -90,6 +90,13 @@ def test_divided_difference_basics():
     assert pr.divided_difference(1, 3, sym) == pr.Poly.zero(3)
 
 
+def test_divided_difference_rejects_a_remainder(monkeypatch):
+    # a wrong swap leaves x2 as the numerator, which x1 - x2 does not divide
+    monkeypatch.setattr(pr, "act", lambda w, P: pr.Poly.zero(P.n))
+    with pytest.raises(ArithmeticError, match="remainder"):
+        pr.divided_difference(1, 2, pr.Poly.variable(2, 2))
+
+
 def test_divided_difference_square_is_zero():
     rng = random.Random(9)
     for _ in range(30):

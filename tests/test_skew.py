@@ -113,6 +113,21 @@ def test_structure_constant_examples():
     assert sk.structure_constant(u, u, (2, 3, 1)) == 0
 
 
+def test_structure_constant_rejects_a_nonconstant_remainder(monkeypatch):
+    monkeypatch.setattr(sk, "represent", lambda A, P: pr.Poly.parse("x1", 3))
+    with pytest.raises(ArithmeticError, match="constant"):
+        sk.structure_constant((2, 1, 3), (2, 1, 3), (3, 1, 2))
+
+
+def test_recurrence_results_are_not_shared():
+    w, v = (3, 4, 1, 2), (1, 3, 2, 4)
+    first = sk.skew_recurrence(w, v)
+    want = dict(first.terms)
+    assert want
+    first.terms.clear()
+    assert sk.skew_recurrence(w, v).terms == want
+
+
 def test_structure_constant_needs_additive_lengths():
     with pytest.raises(ValueError):
         sk.structure_constant((2, 1, 3), (2, 1, 3), (3, 2, 1))

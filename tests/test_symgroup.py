@@ -130,20 +130,26 @@ def test_reduced_subwords_against_brute(s4):
             assert sg.from_word(sub, 4) == v
 
 
-def test_reduced_subwords_of_shorter_words(s3):
-    for w in s3:
-        word = sg.canonical_reduced_word(w)
-        for v in s3:
-            got = sg.reduced_subwords(word, v)
-            brute = [
-                pos
-                for pos in itertools.combinations(
-                    range(1, len(word) + 1), sg.length(v)
-                )
-                if sg.from_word(tuple(word[k - 1] for k in pos), 3) == v
-            ]
-            assert got == sorted(brute)
-            assert sg.has_reduced_subword(word, v) == bool(brute)
+def test_reduced_subwords_of_shorter_words(s3, s4):
+    # every word up to length 6, reduced or not, against every target
+    for perms, n in ((s3, 3), (s4, 4)):
+        for size in range(7):
+            for word in itertools.product(range(1, n), repeat=size):
+                for v in perms:
+                    got = sg.reduced_subwords(word, v)
+                    brute = [
+                        pos
+                        for pos in itertools.combinations(
+                            range(1, len(word) + 1), sg.length(v)
+                        )
+                        if sg.from_word(tuple(word[k - 1] for k in pos), n) == v
+                    ]
+                    assert got == sorted(brute)
+                    assert bool(got) == bool(brute)
+    # a letter outside the window is refused, not read as another swap
+    for word, n in (((2, 1, 0), 3), ((1, 3), 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            sg.reduced_subwords(word, sg.longest_element(3), n)
 
 
 def test_lower_covers(s4):
