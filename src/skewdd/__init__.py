@@ -10,7 +10,8 @@ Submodules:
 - ``fkalg``: the free-algebra model of the quadratic algebra on generators
   x(i,j): braided coproduct, slicing operators, pairing, antipodes.
 - ``fkcanon``: equality oracle modulo the commutation and three-term
-  relations, by exact sparse elimination per graded component.
+  relations, by exact elimination over normal words, each degree built
+  from the one below.
 - ``skew``: four routes to the skew element x_{w/v} (signed, pairing,
   explicit positive, recurrence positive) and Schubert structure constants.
 - ``verify``: randomized and exhaustive property suites.

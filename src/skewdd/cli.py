@@ -62,15 +62,9 @@ def _perm_from_word(word, n: int, allow_nonreduced: bool):
     return symgroup.from_word(word, n)
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _format_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      help="output format (default: text)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized suites (default: suite-specific, 0)")
-    sub.add_argument("--max-degree", type=int, default=None,
-                     help="override the canonical-form degree cap (default: 6)")
-    sub.add_argument("--limit-n", type=int, default=None,
-                     help="override the canonical-form window cap (default: 4)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="computation route (default: explicit)")
     p.add_argument("--allow-nonreduced", action="store_true",
                    help="fold non-reduced words instead of rejecting them")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=_cmd_skew)
 
     p = sub.add_parser("cuv", help="structure constants of Schubert products")
@@ -100,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print every nonzero constant at this window")
     p.add_argument("--allow-nonreduced", action="store_true",
                    help="fold non-reduced words instead of rejecting them")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=_cmd_cuv)
 
     p = sub.add_parser("schubert", help="a Schubert polynomial")
@@ -109,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window size (default: smallest window holding w)")
     p.add_argument("--allow-nonreduced", action="store_true",
                    help="fold non-reduced words instead of rejecting them")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=_cmd_schubert)
 
     p = sub.add_parser("fk", help="operations on elements of the braided algebra")
@@ -125,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = fksub.add_parser(name, help=helptext)
         q.add_argument("expr", nargs=nargs, help="element expression, e.g. 'x(1,2)x(2,3)'")
         q.add_argument("--n", type=int, default=4, help="window size (default: 4)")
-        _common_flags(q)
+        _format_flag(q)
         q.set_defaults(func=_cmd_fk)
 
     p = sub.add_parser("canon", help="canonical forms in the quadratic quotient")
@@ -135,7 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the graded dimension at degree D")
     p.add_argument("--equal", nargs=2, metavar=("A", "B"), default=None,
                    help="test equality of two expressions modulo the relations")
-    _common_flags(p)
+    p.add_argument("--max-degree", type=int, default=None,
+                   help="override the canonical-form degree cap (default: 6)")
+    p.add_argument("--limit-n", type=int, default=None,
+                   help="override the canonical-form window cap (default: 4)")
+    _format_flag(p)
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -144,7 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window size (default: suite-specific)")
     p.add_argument("--samples", type=int, default=None,
                    help="sample count (default: suite-specific)")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for randomized suites (default: suite-specific, 0)")
+    p.add_argument("--max-degree", type=int, default=None,
+                   help="degree bound of the leibniz, hopf and canon suites"
+                        " (default: suite-specific)")
+    _format_flag(p)
     p.set_defaults(func=_cmd_verify)
     return parser
 
@@ -152,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_skew(args) -> tuple[int, str, object]:
     w = parse_permutation(args.w, args.n, args.allow_nonreduced)
     v = parse_permutation(args.v, args.n, args.allow_nonreduced)
-    result = skew.SkewQuery(args.n, w, v, args.method).run()
+    result = skew.compute_skew(w, v, args.method)
     return 0, str(result), result.to_json_dict()
 
 

@@ -7,27 +7,30 @@ annihilate.  This module decides equality modulo the remaining relations
 - disjoint letters commute,
 - the three-term cycle relation on each triple of indices,
 
-by exact integer elimination, one graded piece at a time.  Within a degree
-the ideal splits further by permutation degree, so each (degree, sn_degree)
-block carries its own reduced row-echelon set of sparse integer rows over
-the lexicographic word basis.  Echelon data is unique for the fixed column
-order, hence canonical forms do not depend on assembly order.
+by building the quotient algebra A one degree at a time.  The degree-d part
+of the ideal is I_{d-1} V + V^{d-2} R, so A_d is A_{d-1} (x) V modulo the rows
+nf(b a1) (x) a2, one per normal word b of degree d-2 and relation
+sum c a1 a2, squares included.  The columns are the words b + (g,) with b
+normal of degree d-1 and g not the last letter of b (a square kills that
+column).  The rows are kept in reduced echelon form over exact integers,
+pivoting on the lexicographically smallest column; the non-pivot columns are
+the normal words of degree d, and a word w reduces to the residue of
+nf(w[:-1]) (x) w[-1].  Lexicographic order on words of one length respects
+multiplication, so these are the normal words and canonical forms that an
+elimination over every clean word gives, at a cost that follows the
+dimension of the quotient rather than the number of words.
 
-Building a block set for window 4 at degree 6 takes a few seconds; results
-are cached per (n, d) in memory and can be persisted to a portable JSON file.
+Echelon rows are cached per window in memory, normal forms per word.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from . import fkalg, symgroup
+from . import fkalg
 from .fkalg import FKElement, FKWord
-from .symgroup import Perm
 
 __all__ = [
     "DEFAULT_MAX_WINDOW",
@@ -35,21 +38,15 @@ __all__ = [
     "ResourceLimitError",
     "clean_words",
     "relation_instances",
-    "relation_basis",
-    "relation_hash",
     "canonical_form",
     "fk_equal",
     "graded_dimension",
     "ideal_rank",
-    "save_elimination",
-    "load_elimination",
     "clear_cache",
 ]
 
 DEFAULT_MAX_WINDOW = 4
 DEFAULT_MAX_DEGREE = 6
-
-_FORMAT_VERSION = 1
 
 
 class ResourceLimitError(ValueError):
@@ -108,47 +105,10 @@ def relation_instances(n: int) -> list[list[tuple[int, FKWord]]]:
     return out
 
 
-def relation_hash(n: int) -> str:
-    """Stable identifier for the relation set used in cache files."""
-    payload = json.dumps(
-        [[[c, [list(g) for g in w]] for c, w in inst] for inst in relation_instances(n)],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def relation_basis(n: int, d: int) -> list[FKElement]:
-    """All nonzero products u * r * v at degree d, r a relation instance and
-    u, v words.  Squares vanish already in the free model, so the returned
-    elements carry only commutators and cycle relations.
-
-    >>> [e.degree() for e in relation_basis(3, 2)]
-    [2, 2]
-    """
-    if d < 2:
-        return []
-    out = []
-    for inst in relation_instances(n):
-        mid = FKElement(n, {w: c for c, w in inst})
-        if mid.is_zero():
-            continue
-        for k in range(d - 1):
-            for u in clean_words(n, k):
-                left = FKElement.from_word(u, n) * mid
-                if left.is_zero():
-                    continue
-                for v in clean_words(n, d - 2 - k):
-                    e = left * FKElement.from_word(v, n)
-                    if not e.is_zero():
-                        out.append(e)
-    return out
-
-
 class _Block:
-    """Reduced echelon rows for one (degree, sn_degree) component.
+    """Reduced echelon rows of the ideal in one degree.
 
-    Rows are primitive integer sparse vectors (column -> coefficient) whose
+    Rows are primitive integer sparse vectors (word -> coefficient) whose
     smallest column is the pivot; every pivot column appears in exactly one
     row and carries a positive coefficient.
     """
@@ -156,12 +116,12 @@ class _Block:
     __slots__ = ("pivots", "colindex")
 
     def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}
+        self.pivots: dict[FKWord, dict[FKWord, int]] = {}
         # column -> set of pivot columns whose rows touch it
-        self.colindex: dict[int, set[int]] = {}
+        self.colindex: dict[FKWord, set[FKWord]] = {}
 
     @staticmethod
-    def _primitive(row: dict[int, int]) -> dict[int, int]:
+    def _primitive(row: dict[FKWord, int]) -> dict[FKWord, int]:
         g = 0
         for v in row.values():
             g = gcd(g, v)
@@ -169,9 +129,8 @@ class _Block:
             g = -g
         return {k: v // g for k, v in row.items()}
 
-    def insert(self, row: dict[int, int]) -> bool:
-        """Fold one row in; True when the rank grew."""
-        row = {k: v for k, v in row.items() if v}
+    def insert(self, row: dict[FKWord, int]) -> None:
+        """Fold one nonzero row in."""
         # clear every existing pivot column, ascending; eliminations only add
         # non-pivot columns, so one pass over the original support suffices
         for c in sorted(row):
@@ -185,7 +144,7 @@ class _Block:
                 nxt[k] = nxt.get(k, 0) - v * val
             row = {k: val for k, val in nxt.items() if val}
         if not row:
-            return False
+            return
         row = self._primitive(row)
         c = min(row)
         # clear the new pivot column from every older row that uses it
@@ -197,9 +156,8 @@ class _Block:
                 nxt[k] = nxt.get(k, 0) - v * val
             self._store(c2, self._primitive({k: val for k, val in nxt.items() if val}))
         self._store(c, row)
-        return True
 
-    def _store(self, c: int, row: dict[int, int]) -> None:
+    def _store(self, c: FKWord, row: dict[FKWord, int]) -> None:
         old = self.pivots.get(c)
         if old:
             for k in old:
@@ -208,7 +166,7 @@ class _Block:
         for k in row:
             self.colindex.setdefault(k, set()).add(c)
 
-    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def reduce(self, vec: dict[FKWord, Fraction]) -> dict[FKWord, Fraction]:
         """Residue of a vector; pivot columns are eliminated in one ascending
         pass since echelon rows only reach rightward of their pivot."""
         vec = dict(vec)
@@ -219,73 +177,79 @@ class _Block:
             piv = self.pivots.get(c)
             if piv is None:
                 continue
-            f = Fraction(val, piv[c])
+            p = piv[c]
+            f = val if p == 1 else Fraction(val, p)
             for k, v in piv.items():
                 vec[k] = vec.get(k, 0) - f * v
         return {k: v for k, v in vec.items() if v}
 
-    def rank(self) -> int:
-        return len(self.pivots)
 
+class _Window:
+    """Normal words, echelon rows and memoized normal forms of one window,
+    built degree by degree; ``normal[d]`` and ``echelon[d]`` exist for every
+    degree built so far."""
 
-class _Elimination:
-    """Per-(n, d) elimination data: column order plus per-block echelon rows."""
+    __slots__ = ("letters", "relations", "normal", "echelon", "_nf")
 
-    __slots__ = ("n", "d", "colof", "words", "blocks")
+    def __init__(self, n: int):
+        self.letters = _letters(n)
+        self.relations = relation_instances(n)
+        self.normal: list[list[FKWord]] = [[()]]
+        self.echelon: list[_Block] = [_Block()]
+        self._nf: dict[FKWord, dict[FKWord, Fraction]] = {(): {(): 1}}
 
-    def __init__(self, n: int, d: int):
-        self.n = n
-        self.d = d
-        self.words = clean_words(n, d)
-        self.colof: dict[FKWord, int] = {w: i for i, w in enumerate(self.words)}
-        self.blocks: dict[Perm, _Block] = {}
+    def extend(self, d: int) -> None:
+        while len(self.normal) <= d:
+            self._add_degree(len(self.normal))
 
-    def block_for(self, word: FKWord) -> _Block:
-        sigma = fkalg.sn_degree(word, self.n)
-        blk = self.blocks.get(sigma)
-        if blk is None:
-            blk = self.blocks[sigma] = _Block()
-        return blk
+    def _add_degree(self, d: int) -> None:
+        rows = []
+        for b in self.normal[d - 2] if d >= 2 else ():
+            for inst in self.relations:
+                row: dict[FKWord, Fraction] = {}
+                for c, (a1, a2) in inst:
+                    for w, v in self.nf(b + (a1,)).items():
+                        if w[-1] != a2:
+                            row[w + (a2,)] = row.get(w + (a2,), 0) + c * v
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    scale = lcm(*(v.denominator for v in row.values()))
+                    rows.append({k: int(v * scale) for k, v in row.items()})
+        # leading columns descending: a new pivot then lies left of the older
+        # rows, so it seldom has to be cleared from them
+        rows.sort(key=min, reverse=True)
+        blk = _Block()
+        for row in rows:
+            blk.insert(row)
+        # echelon[d] before normal[d]: readers test len(normal) unlocked
+        self.echelon.append(blk)
+        self.normal.append([
+            b + (g,)
+            for b in self.normal[d - 1]
+            for g in self.letters
+            if b[-1:] != (g,) and b + (g,) not in blk.pivots
+        ])
 
-    def build(self) -> None:
-        for inst in relation_instances(self.n):
-            terms = [(c, w) for c, w in inst if w[0] != w[1]]
-            if not terms:
-                continue
-            for k in range(self.d - 1):
-                rights = clean_words(self.n, self.d - 2 - k)
-                for u in clean_words(self.n, k):
-                    for v in rights:
-                        row: dict[int, int] = {}
-                        for c, w in terms:
-                            if u and u[-1] == w[0]:
-                                continue
-                            if v and w[-1] == v[0]:
-                                continue
-                            col = self.colof[u + w + v]
-                            row[col] = row.get(col, 0) + c
-                        row = {cc: vv for cc, vv in row.items() if vv}
-                        if row:
-                            self.block_for(self.words[min(row)]).insert(row)
+    def nf(self, w: FKWord) -> dict[FKWord, Fraction]:
+        """Normal form of one word over the normal words of its degree; the
+        memoized dict itself, which callers inside this module only read."""
+        got = self._nf.get(w)
+        if got is None:
+            g = w[-1]
+            vec = {b + (g,): c for b, c in self.nf(w[:-1]).items() if b[-1:] != (g,)}
+            got = self._nf[w] = self.echelon[len(w)].reduce(vec)
+        return got
 
-    def rank(self) -> int:
-        return sum(b.rank() for b in self.blocks.values())
-
-    def reduce_element(self, A: FKElement) -> dict[FKWord, Fraction]:
-        by_block: dict[Perm, dict[int, Fraction]] = {}
-        for w, c in A.terms.items():
-            sigma = fkalg.sn_degree(w, self.n)
-            by_block.setdefault(sigma, {})[self.colof[w]] = Fraction(c)
+    def reduce(self, A: FKElement) -> dict[FKWord, Fraction]:
+        """Normal form of a homogeneous element, as a fresh dict."""
         out: dict[FKWord, Fraction] = {}
-        for sigma, vec in by_block.items():
-            blk = self.blocks.get(sigma)
-            residue = blk.reduce(vec) if blk else vec
-            for col, val in residue.items():
-                out[self.words[col]] = val
-        return out
+        for w, c in A.terms.items():
+            for b, v in self.nf(w).items():
+                out[b] = out.get(b, 0) + c * v
+        return {b: v for b, v in out.items() if v}
 
 
-_cache: dict[tuple[int, int], _Elimination] = {}
+_cache: dict[int, _Window] = {}
 _lock = threading.Lock()
 
 
@@ -304,31 +268,29 @@ def _check_limits(n: int, d: int, max_window: int | None, max_degree: int | None
         )
 
 
-def _get_elimination(
+def _get_window(
     n: int, d: int, max_window: int | None = None, max_degree: int | None = None
-) -> _Elimination:
+) -> _Window:
+    """The window-n data, built through degree d."""
     if d < 0:
         raise ValueError(f"degree {d} is negative")
     _check_limits(n, d, max_window, max_degree)
-    key = (n, d)
-    elim = _cache.get(key)
-    if elim is not None:
-        return elim
+    win = _cache.get(n)
+    if win is not None and len(win.normal) > d:
+        return win
     with _lock:
-        elim = _cache.get(key)
-        if elim is None:
-            elim = _Elimination(n, d)
-            elim.build()
-            _cache[key] = elim
-    return elim
+        win = _cache.get(n)
+        if win is None:
+            win = _cache[n] = _Window(n)
+        win.extend(d)
+    return win
 
 
 def canonical_form(
     A: FKElement, max_window: int | None = None, max_degree: int | None = None
 ) -> FKElement:
-    """The unique representative of A modulo the relation ideal with no
-    component in the echelon row space.  Linear and idempotent; zero exactly
-    on ideal members.
+    """The unique representative of A modulo the relation ideal supported
+    on normal words.  Linear and idempotent; zero exactly on ideal members.
 
     >>> x12, x23, x13 = (fkalg.generator(*g, 3) for g in ((1, 2), (2, 3), (1, 3)))
     >>> canonical_form(x12 * x23 - x23 * x13 - x13 * x12).is_zero()
@@ -336,15 +298,14 @@ def canonical_form(
     """
     out = FKElement(A.n)
     for d, comp in A.degree_components().items():
-        elim = _get_elimination(A.n, d, max_window, max_degree)
-        for w, val in elim.reduce_element(comp).items():
+        win = _get_window(A.n, d, max_window, max_degree)
+        for w, val in win.reduce(comp).items():
             if val.denominator != 1:
                 raise ArithmeticError(
                     "canonical form left the integer lattice; "
                     f"a pivot exceeds 1 at window {A.n} degree {d}"
                 )
-            out.terms[w] = out.terms.get(w, 0) + int(val)
-    out.terms = {w: c for w, c in out.terms.items() if c}
+            out.terms[w] = int(val)
     return out
 
 
@@ -365,8 +326,7 @@ def fk_equal(
         B = FKElement(A.n, {(): B})
     diff = A - B
     for d, comp in diff.degree_components().items():
-        elim = _get_elimination(diff.n, d, max_window, max_degree)
-        if elim.reduce_element(comp):
+        if _get_window(diff.n, d, max_window, max_degree).reduce(comp):
             return False
     return True
 
@@ -374,8 +334,11 @@ def fk_equal(
 def ideal_rank(
     n: int, d: int, max_window: int | None = None, max_degree: int | None = None
 ) -> int:
-    """Rank of the degree-d component of the relation ideal (clean basis)."""
-    return _get_elimination(n, d, max_window, max_degree).rank()
+    """Rank of the degree-d component of the relation ideal (clean basis):
+    the number of clean words of degree d less the number of normal words."""
+    dim = len(_get_window(n, d, max_window, max_degree).normal[d])
+    m = len(_letters(n))
+    return (m * (m - 1) ** (d - 1) if d else 1) - dim
 
 
 def graded_dimension(
@@ -388,51 +351,7 @@ def graded_dimension(
     """
     if d == 0:
         return 1
-    elim = _get_elimination(n, d, max_window, max_degree)
-    return len(elim.words) - elim.rank()
-
-
-def save_elimination(path: str, n: int, d: int, **limits) -> None:
-    """Persist the (n, d) elimination data as byte-stable JSON."""
-    elim = _get_elimination(n, d, **limits)
-    blocks = []
-    for sigma in sorted(elim.blocks):
-        blk = elim.blocks[sigma]
-        rows = [
-            sorted(blk.pivots[piv].items())
-            for piv in sorted(blk.pivots)
-        ]
-        blocks.append({"sigma": list(sigma), "rows": rows})
-    payload = {
-        "version": _FORMAT_VERSION,
-        "n": n,
-        "d": d,
-        "relhash": relation_hash(n),
-        "blocks": blocks,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-
-
-def load_elimination(path: str) -> tuple[int, int]:
-    """Install persisted elimination data into the cache; returns (n, d)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported elimination file version {payload.get('version')!r}")
-    n, d = int(payload["n"]), int(payload["d"])
-    if payload.get("relhash") != relation_hash(n):
-        raise ValueError("elimination file does not match the current relation set")
-    elim = _Elimination(n, d)
-    for entry in payload["blocks"]:
-        sigma = tuple(int(x) for x in entry["sigma"])
-        blk = elim.blocks[sigma] = _Block()
-        for row in entry["rows"]:
-            cells = {int(c): int(v) for c, v in row}
-            blk._store(min(cells), cells)
-    with _lock:
-        _cache[(n, d)] = elim
-    return n, d
+    return len(_get_window(n, d, max_window, max_degree).normal[d])
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ x(1,2)x(3,4)x(2,3) - x(2,3)x(1,3)x(2,4)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import fkalg, polyring, symgroup
@@ -26,7 +25,6 @@ from .polyring import Poly
 from .symgroup import Perm, Word
 
 __all__ = [
-    "SkewQuery",
     "METHODS",
     "reduced_word_to_longest",
     "skew_signed",
@@ -41,21 +39,6 @@ __all__ = [
 ]
 
 METHODS = ("signed", "pairing", "explicit", "recurrence")
-
-
-@dataclass(frozen=True)
-class SkewQuery:
-    """One skew computation request."""
-
-    n: int
-    w: Perm
-    v: Perm
-    method: str = "explicit"
-
-    def run(self) -> FKElement:
-        w = symgroup.embed(self.w, self.n)
-        v = symgroup.embed(self.v, self.n)
-        return compute_skew(w, v, self.method)
 
 
 def _window(w: Perm, v: Perm) -> tuple[Perm, Perm, int]:

@@ -35,7 +35,6 @@ __all__ = [
     "from_word",
     "is_reduced",
     "left_descents",
-    "right_descents",
     "canonical_reduced_word",
     "all_reduced_words",
     "bruhat_leq",
@@ -155,11 +154,6 @@ def left_descents(w: Perm) -> list[int]:
     """Indices i with length(s_i * w) < length(w)."""
     pos = inverse(w)
     return [i for i in range(1, len(w)) if pos[i - 1] > pos[i]]
-
-
-def right_descents(w: Perm) -> list[int]:
-    """Indices i with length(w * s_i) < length(w)."""
-    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
 
 
 def _mult_left_simple(i: int, w: Perm) -> Perm:

@@ -1,7 +1,8 @@
 """Verification suites exercising the library's algebraic identities.
 
 Each suite re-checks one family of identities end to end and returns
-one Check per property, with a pass flag and a count summary. Suites
+one Check per property, with a pass flag and a count summary; a check
+that counts its instances fails when it saw none. Suites
 that sample take an explicit seed and are deterministic given it.
 Window limits mirror the canonical-form tables: exhaustive sweeps run
 for windows up to 4, window 5 is sampled, anything larger is refused.
@@ -40,6 +41,12 @@ class Check:
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
         return f"{status}  {self.name}: {self.details}"
+
+
+def _counted(name: str, instances: int, failures: int, details: str) -> Check:
+    """A check over ``instances`` cases: it passes only when it saw at least
+    one case and none failed."""
+    return Check(name, instances > 0 and failures == 0, details)
 
 
 def _require_window(n: int, largest: int) -> None:
@@ -85,9 +92,10 @@ def run_leibniz(
             if polyring.del_perm(w, pq) != rhs:
                 rule_fails += 1
     return [
-        Check(
+        _counted(
             "leibniz product rule",
-            rule_fails == 0,
+            instances,
+            rule_fails,
             f"{instances} instances ({samples} pairs x {len(perms)}"
             f" permutations), {rule_fails} failures",
         ),
@@ -199,8 +207,8 @@ def run_hopf(
             if fkalg.pairing(a, stray) != 0:
                 fails["vanishing"] += 1
 
-    def report(key: str, name: str, detail: str) -> Check:
-        return Check(name, fails[key] == 0, f"{detail}, {fails[key]} failures")
+    def report(key: str, name: str, detail: str, count: int = samples) -> Check:
+        return _counted(name, count, fails[key], f"{detail}, {fails[key]} failures")
 
     per_word = f"{samples} sampled words"
     return [
@@ -217,7 +225,7 @@ def run_hopf(
                f"left extraction of the conjugate antipode is right deletion, {per_word}"),
         report("symmetry", "pairing symmetry", per_word),
         report("vanishing", "pairing vanishing",
-               f"{vanish_count} degree or descent mismatches"),
+               f"{vanish_count} degree or descent mismatches", vanish_count),
         report("commute", "extraction and deletion commute", per_word),
         report("subword", "coproduct left factors",
                f"first factors are subwords of the input, {per_word}"),
@@ -281,14 +289,16 @@ def run_positivity(n: int = 4, samples: int = 200, seed: int = 0) -> list[Check]
         if any(r.terms for r in results):
             zero_fails += 1
     return [
-        Check(
+        _counted(
             "positive below",
-            pos_fails == 0,
+            len(pos_pairs),
+            pos_fails,
             f"{scope} positive and homogeneous, {pos_fails} failures",
         ),
-        Check(
+        _counted(
             "zero outside the order",
-            zero_fails == 0,
+            len(zero_pairs),
+            zero_fails,
             f"{len(zero_pairs)} pairs with v not <= w, all four methods zero,"
             f" {zero_fails} failures",
         ),
@@ -320,9 +330,10 @@ def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
         if skew.skew_explicit(w, v) != skew.skew_recurrence(w, v):
             rec_fails += 1
     checks.append(
-        Check(
+        _counted(
             "explicit matches recurrence",
-            rec_fails == 0,
+            len(pairs),
+            rec_fails,
             f"term-by-term equality, {scope}, {rec_fails} failures",
         )
     )
@@ -354,12 +365,12 @@ def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
                     pairing_fails += 1
         how = f"polynomial actions agree on {len(probes)} probes, {scope}"
     checks.append(
-        Check("signed matches explicit", signed_fails == 0,
-              f"{how}, {signed_fails} failures")
+        _counted("signed matches explicit", len(pairs), signed_fails,
+                 f"{how}, {signed_fails} failures")
     )
     checks.append(
-        Check("pairing matches explicit", pairing_fails == 0,
-              f"{how}, {pairing_fails} failures")
+        _counted("pairing matches explicit", len(pairs), pairing_fails,
+                 f"{how}, {pairing_fails} failures")
     )
 
     op_pairs = pairs if n <= 4 else pairs[: max(1, samples // 2)]
@@ -370,9 +381,10 @@ def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
         for v, w in op_pairs
     )
     checks.append(
-        Check(
+        _counted(
             "operator matches expansion",
-            op_fails == 0,
+            len(op_pairs),
+            op_fails,
             f"direct application equals represented expansion on the"
             f" staircase, {len(op_pairs)} pairs, {op_fails} failures",
         )
@@ -422,9 +434,10 @@ def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
             ):
                 chain_fails += 1
     checks.append(
-        Check(
+        _counted(
             "chain pairing",
-            chain_fails == 0,
+            chain_count,
+            chain_fails,
             f"step-by-step chains match the dual pairing, {chain_scope}"
             f" ({chain_count} words), {chain_fails} failures",
         )
@@ -451,9 +464,10 @@ def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
                 if not fkcanon.fk_equal(got, want):
                     cover_fails += 1
     checks.append(
-        Check(
+        _counted(
             "deletion at covers",
-            cover_fails == 0,
+            cover_count,
+            cover_fails,
             f"right deletion picks out Bruhat covers and kills the rest,"
             f" window {m}, {cover_count} cases, {cover_fails} failures",
         )
@@ -477,9 +491,10 @@ def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
         if sign != 1 or len(word) != len(set(word)) or set(word) != inv:
             inv_fails += 1
     checks.append(
-        Check(
+        _counted(
             "inversion letters",
-            inv_fails == 0,
+            len(pool),
+            inv_fails,
             f"conjugate antipode of a permutation word uses each inversion"
             f" once with sign one, {inv_scope}, {inv_fails} failures",
         )
@@ -503,9 +518,10 @@ def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
             if not fkcanon.fk_equal(prod, xw0):
                 order_fails += 1
     checks.append(
-        Check(
+        _counted(
             "longest word factorization",
-            order_fails == 0,
+            order_count,
+            order_fails,
             f"reflection-ordering products equal the longest word, windows"
             f" 3..{m}, {order_count} orderings, {order_fails} failures",
         )
@@ -582,9 +598,10 @@ def run_canon(
         if not fkcanon.canonical_form(e).is_zero():
             vanish_fails += 1
     checks.append(
-        Check(
+        _counted(
             "ideal vanishing",
-            vanish_fails == 0,
+            samples,
+            vanish_fails,
             f"{samples} random ideal elements reduce to zero,"
             f" {vanish_fails} failures",
         )
@@ -607,16 +624,16 @@ def run_canon(
         if not fkcanon.fk_equal(a, a + shift):
             modular_fails += 1
     checks.append(
-        Check("reduction idempotent", idem_fails == 0,
-              f"{lin_samples} samples, {idem_fails} failures")
+        _counted("reduction idempotent", lin_samples, idem_fails,
+                 f"{lin_samples} samples, {idem_fails} failures")
     )
     checks.append(
-        Check("reduction additive", add_fails == 0,
-              f"{lin_samples} samples, {add_fails} failures")
+        _counted("reduction additive", lin_samples, add_fails,
+                 f"{lin_samples} samples, {add_fails} failures")
     )
     checks.append(
-        Check("equality modulo relations", modular_fails == 0,
-              f"{lin_samples} ideal shifts invisible, {modular_fails} failures")
+        _counted("equality modulo relations", lin_samples, modular_fails,
+                 f"{lin_samples} ideal shifts invisible, {modular_fails} failures")
     )
     return checks
 
@@ -658,6 +675,8 @@ def run_suite(
         )
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"max_degree must be at least 0, got {max_degree}")
     if suite == "all":
         out = []
         for name in SUITES[:-1]:

@@ -2,9 +2,10 @@
 
 Everything here recomputes reference values by routes the library does
 not take: brute-force enumeration of words, dense elimination over the
-raw word basis (adjacent duplicates included), the compatible-sequence
-expansion of Schubert polynomials, and direct basis expansion of
-products. Tests compare library output against these.
+raw word basis (adjacent duplicates included), the two-sided relation
+products over clean words, the compatible-sequence expansion of Schubert
+polynomials, direct basis expansion of products, and q-integer products
+for Hilbert series. Tests compare library output against these.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import lru_cache
 import pytest
 
 from skewdd import fkcanon, polyring, symgroup
+from skewdd.fkalg import FKElement
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +39,11 @@ def brute_reduced_words(w, n):
         if symgroup.from_word(word, n) == w:
             out.append(word)
     return tuple(sorted(out))
+
+
+def right_descents(w):
+    """Indices i with length(w * s_i) < length(w)."""
+    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
 
 
 def is_subsequence(short, long):
@@ -91,6 +98,42 @@ def raw_ideal_rank(n, d):
 def raw_dimension(n, d):
     """Graded dimension of the quotient, computed in the raw word basis."""
     return len(_raw_words(n, d)) - raw_ideal_rank(n, d)
+
+
+def relation_basis(n, d):
+    """All nonzero products u * r * v at degree d, r a relation instance and
+    u, v clean words.  Squares vanish already in the free model, so the
+    returned elements carry only commutators and cycle relations."""
+    if d < 2:
+        return []
+    out = []
+    for inst in fkcanon.relation_instances(n):
+        mid = FKElement(n, {w: c for c, w in inst})
+        if mid.is_zero():
+            continue
+        for k in range(d - 1):
+            for u in fkcanon.clean_words(n, k):
+                left = FKElement.from_word(u, n) * mid
+                if left.is_zero():
+                    continue
+                for v in fkcanon.clean_words(n, d - 2 - k):
+                    e = left * FKElement.from_word(v, n)
+                    if not e.is_zero():
+                        out.append(e)
+    return out
+
+
+def hilbert_series(factors, top):
+    """Coefficients through degree ``top`` of the product of the q-integers
+    [k] = 1 + q + ... + q^(k-1), one per entry of ``factors``."""
+    poly = [1]
+    for k in factors:
+        nxt = [0] * (len(poly) + k - 1)
+        for i, c in enumerate(poly):
+            for j in range(k):
+                nxt[i + j] += c
+        poly = nxt
+    return (poly + [0] * (top + 1))[: top + 1]
 
 
 def bjs_schubert(w, n):

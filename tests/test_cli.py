@@ -244,6 +244,21 @@ def test_bad_flag_is_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("skew", "--n", "4", "--w", "3412", "--v", "2", "--seed", "3"),
+    ("cuv", "--n", "3", "--u", "2", "--v", "1", "--w", "312", "--max-degree", "3"),
+    ("schubert", "--w", "312", "--limit-n", "5"),
+    ("fk", "sbar", "x(1,2)", "--n", "3", "--seed", "3"),
+    ("canon", "--n", "3", "--dim", "2", "--seed", "3"),
+    ("verify", "--suite", "canon", "--limit-n", "5"),
+], ids=lambda argv: argv[0])
+def test_flags_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_canon_suite(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "canon", "--n", "3", "--samples", "25"
@@ -265,6 +280,27 @@ def test_verify_rejects_fewer_than_one_sample(capsys, suite):
         assert code == 1
         assert out == ""
         assert "samples must be at least 1" in err
+
+
+def test_verify_rejects_a_negative_max_degree(capsys):
+    for suite in ("leibniz", "hopf", "canon", "all"):
+        with pytest.raises(ValueError, match="max_degree"):
+            verify.run_suite(suite, max_degree=-2)
+    code, out, err = run_cli(capsys, "verify", "--suite", "canon", "--max-degree", "-2")
+    assert code == 1
+    assert out == ""
+    assert "max_degree must be at least 0" in err
+
+
+@pytest.mark.parametrize("suite, check, scope", [
+    ("agreement", "longest word factorization", "windows 3..2, 0 orderings"),
+    ("hopf", "pairing vanishing", "0 degree or descent mismatches"),
+], ids=("agreement", "hopf"))
+def test_check_with_no_instances_fails(capsys, suite, check, scope):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", "2", "--samples", "1")
+    assert code == 1
+    line = next(ln for ln in out.splitlines() if check in ln)
+    assert line.startswith("FAIL") and scope in line
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):

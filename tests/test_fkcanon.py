@@ -1,5 +1,6 @@
 """Canonical forms in the quadratic quotient, against a dense oracle."""
 
+import hashlib
 import random
 import threading
 
@@ -9,7 +10,7 @@ from skewdd import fkalg as fk
 from skewdd import fkcanon as fc
 from skewdd import symgroup as sg
 
-from conftest import raw_dimension, raw_ideal_rank
+from conftest import hilbert_series, raw_dimension, raw_ideal_rank, relation_basis
 
 
 def test_clean_words_counts_and_order():
@@ -35,8 +36,9 @@ def test_relation_instances_shape():
 
 
 def test_relation_basis_uses_the_clean_model():
-    basis = fc.relation_basis(3, 2)
+    basis = relation_basis(3, 2)
     assert len(basis) == 2
+    assert [e.degree() for e in basis] == [2, 2]
     # the raw model sees the squares too
     assert raw_ideal_rank(3, 2) == 5
     # both models leave the same quotient
@@ -55,6 +57,19 @@ def test_graded_dimension_profile():
     assert [fc.graded_dimension(4, d) for d in range(7)] == [
         1, 6, 19, 42, 71, 96, 106,
     ]
+
+
+def test_full_hilbert_series_of_window_4():
+    # [2]^2 [3]^2 [4]^2: the top degree is 12 and the total dimension 576
+    dims = [fc.graded_dimension(4, d, max_degree=13) for d in range(14)]
+    assert dims == hilbert_series((2, 2, 3, 3, 4, 4), 13)
+    assert sum(dims) == 576 and dims[12] == 1 and dims[13] == 0
+
+
+def test_hilbert_series_of_window_5_through_degree_6():
+    dims = [fc.graded_dimension(5, d, max_window=5) for d in range(7)]
+    assert dims == hilbert_series((4,) * 4 + (5,) * 2 + (6,) * 4, 6)
+    assert dims[-3:] == [711, 1960, 4761]
 
 
 def test_ideal_rank_values():
@@ -109,32 +124,6 @@ def test_resource_limits():
     assert fc.graded_dimension(5, 1, max_window=5) == 10
 
 
-def test_save_and_load_round_trip(tmp_path):
-    path = tmp_path / "elim_3_2.json"
-    fc.save_elimination(str(path), 3, 2)
-    first = path.read_bytes()
-    fc.save_elimination(str(path), 3, 2)
-    assert path.read_bytes() == first
-    fc.clear_cache()
-    assert fc.load_elimination(str(path)) == (3, 2)
-    assert fc.graded_dimension(3, 2) == 4
-
-
-def test_load_rejects_foreign_files(tmp_path):
-    path = tmp_path / "elim.json"
-    fc.save_elimination(str(path), 3, 2)
-    text = path.read_text()
-    assert '"version":1' in text
-    bad = tmp_path / "bad.json"
-    bad.write_text(text.replace('"version":1', '"version":99'))
-    with pytest.raises(ValueError):
-        fc.load_elimination(str(bad))
-    hashes = tmp_path / "hash.json"
-    hashes.write_text(text.replace('"relhash":"', '"relhash":"00'))
-    with pytest.raises(ValueError):
-        fc.load_elimination(str(hashes))
-
-
 def test_concurrent_builds_agree():
     fc.clear_cache()
     results = []
@@ -160,3 +149,30 @@ def test_permutation_words_are_reduced_word_independent():
                     tuple((i, i + 1) for i in word), n
                 )
                 assert fc.fk_equal(built, target)
+
+
+# sha256 of golden_forms() under the elimination over every clean word,
+# recorded before that implementation was replaced
+GOLDEN_DIGEST = "d2b22d2fa55c69163eb65d4cf554be8ea62ee2a17147e765a9d169e4d79ca452"
+
+
+def golden_forms():
+    """Canonical forms, one line each, of every clean word at window 3
+    through degree 4 and window 4 through degree 5, then of 300 seeded
+    three-term degree-6 elements at window 4."""
+    lines = []
+    for n, top in ((3, 4), (4, 5)):
+        for d in range(top + 1):
+            for w in fc.clean_words(n, d):
+                lines.append(str(fc.canonical_form(fk.FKElement.from_word(w, n))))
+    rng = random.Random(46)
+    for _ in range(300):
+        terms = {fk.random_word(rng, 4, 6): rng.choice((-2, -1, 1, 3)) for _ in range(3)}
+        lines.append(str(fc.canonical_form(fk.FKElement(4, terms))))
+    return "\n".join(lines)
+
+
+def test_canonical_forms_match_the_clean_word_elimination():
+    text = golden_forms()
+    assert len(text.splitlines()) == 46 + 4687 + 300
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST

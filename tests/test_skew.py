@@ -82,12 +82,6 @@ def test_compute_skew_rejects_unknown_method():
         sk.compute_skew((2, 1), (1, 2), "guess")
 
 
-def test_skew_query_runs():
-    q = sk.SkewQuery(4, (3, 4, 1, 2), sg.simple(2, 4), "recurrence")
-    assert q.run() == sk.skew_recurrence((3, 4, 1, 2), sg.simple(2, 4))
-    assert sk.SkewQuery(3, (3, 1, 2), (3, 1, 2)).method == "explicit"
-
-
 def test_represent_matches_divided_differences(s4):
     rng = random.Random(3)
     p = pr.random_poly(rng, 4, max_degree=4, terms=4)
