@@ -68,6 +68,9 @@ def _format_flag(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole command tree; :func:`main` builds one per
+    process.  Handlers are bound by ``func`` and look up the library at
+    call time."""
     parser = argparse.ArgumentParser(
         prog="skewdd",
         description="skew divided differences and the quadratic braided algebra",
@@ -262,9 +265,16 @@ def _cmd_verify(args) -> tuple[int, str, object]:
     return (1 if failed else 0), "\n".join(lines), payload
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # parse_args fills a fresh namespace on every call, so one parser
+    # serves every call in the process
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code, text, payload = args.func(args)
     except ParseError as exc:

@@ -9,8 +9,9 @@ permuting the variables, ``act(w, P)`` sends x_i to x_{w(i)}:
 >>> print(act((2, 3, 1), P))
 x2^2*x3
 
-Divided differences are computed by synthetic division, never by rational
-arithmetic, so every intermediate value stays an integer:
+Divided differences are computed monomial by monomial in closed form
+(Macdonald, *Notes on Schubert Polynomials*, 1991, ch. II), never by
+division, so every intermediate value stays an integer:
 
 >>> print(divided_difference(1, 2, Poly.parse("x1^2*x2", 2)))
 x1*x2
@@ -18,7 +19,6 @@ x1*x2
 
 from __future__ import annotations
 
-import heapq
 import json
 import re
 
@@ -276,9 +276,10 @@ def act(w: Perm, P: Poly) -> Poly:
 def divided_difference(i: int, j: int, P: Poly) -> Poly:
     """The operator (P - t_ij P) / (x_i - x_j) for a transposition t_ij.
 
-    The quotient is computed by synthetic division of the exact numerator,
-    largest monomial first.  The division is always remainder-free; a
-    remainder raises ArithmeticError.
+    Each monomial has a closed-form quotient.  With a = e_i > b = e_j,
+    (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j) is (x_i x_j)^b times the sum
+    of x_i^(a-1-k) x_j^(b+k) over 0 <= k < a - b; swapping a and b flips
+    the sign, and a = b contributes nothing.  Other exponents are kept.
 
     >>> print(divided_difference(1, 2, Poly.parse("x1^2*x2", 2)))
     x1*x2
@@ -292,34 +293,25 @@ def divided_difference(i: int, j: int, P: Poly) -> Poly:
         i, j = j, i
         sign = -1
     n = max(P.n, j)
-    P = P.extend(n)
-    t = symgroup.transposition(i, j, n)
-    numerator = dict((P - act(t, P)).terms)
-    # divide by x_i - x_j: monomials come off a heap in lex-descending order,
-    # so every popped term must still contain x_i (else remainder, a bug)
-    heap = [tuple(-x for x in e) for e in numerator]
-    heapq.heapify(heap)
-    quotient: dict[Exponent, int] = {}
-    while heap:
-        e = tuple(-x for x in heapq.heappop(heap))
-        c = numerator.pop(e, 0)
-        if not c:
+    if i < 1:
+        raise ValueError(f"invalid transposition ({i},{j}) in window {n}")
+    terms: dict[Exponent, int] = {}
+    for e, c in P.extend(n).terms.items():
+        a, b = e[i - 1], e[j - 1]
+        if a == b:
             continue
-        if not e[i - 1]:
-            raise ArithmeticError("synthetic division left a remainder")
+        c *= sign
+        if a < b:
+            a, b, c = b, a, -c
         q = list(e)
-        q[i - 1] -= 1
-        q = tuple(q)
-        quotient[q] = quotient.get(q, 0) + c
-        # cancel c * x_j * q from the numerator
-        r = list(q)
-        r[j - 1] += 1
-        r = tuple(r)
-        prev = numerator.get(r, 0)
-        if not prev:
-            heapq.heappush(heap, tuple(-x for x in r))
-        numerator[r] = prev + c
-    return Poly(n, {e: sign * c for e, c in quotient.items() if c})
+        for k in range(a - b):
+            q[i - 1], q[j - 1] = a - 1 - k, b + k
+            key = tuple(q)
+            terms[key] = terms.get(key, 0) + c
+    # every exponent here has arity n by construction, so skip Poly's checks
+    out = Poly(n)
+    out.terms = {e: c for e, c in terms.items() if c}
+    return out
 
 
 def del_word(word: Word, P: Poly, n: int | None = None) -> Poly:

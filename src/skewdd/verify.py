@@ -577,6 +577,10 @@ def run_canon(
     rng = random.Random(seed)
     expected = _EXPECTED_DIMS[n]
     if max_degree is not None:
+        if max_degree >= len(expected):
+            raise ResourceLimitError(
+                f"degree {max_degree} out of range (0..{len(expected) - 1})"
+            )
         expected = expected[: max_degree + 1]
     top = len(expected) - 1
     dims = tuple(fkcanon.graded_dimension(n, d) for d in range(top + 1))

@@ -3,13 +3,15 @@
 Everything here recomputes reference values by routes the library does
 not take: brute-force enumeration of words, dense elimination over the
 raw word basis (adjacent duplicates included), the two-sided relation
-products over clean words, the compatible-sequence expansion of Schubert
-polynomials, direct basis expansion of products, and q-integer products
-for Hilbert series. Tests compare library output against these.
+products over clean words, synthetic division for divided differences,
+the compatible-sequence expansion of Schubert polynomials, direct basis
+expansion of products, and q-integer products for Hilbert series. Tests
+compare library output against these.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -121,6 +123,45 @@ def relation_basis(n, d):
                     if not e.is_zero():
                         out.append(e)
     return out
+
+
+def synthetic_divided_difference(i, j, P):
+    """(P - t_ij P) / (x_i - x_j) by synthetic division of the numerator.
+
+    Monomials come off a heap in lex-descending order, so every popped
+    term must still contain x_i; a remainder raises ArithmeticError.
+    """
+    sign = 1
+    if i > j:
+        i, j = j, i
+        sign = -1
+    n = max(P.n, j)
+    P = P.extend(n)
+    t = symgroup.transposition(i, j, n)
+    numerator = dict((P - polyring.act(t, P)).terms)
+    heap = [tuple(-x for x in e) for e in numerator]
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        e = tuple(-x for x in heapq.heappop(heap))
+        c = numerator.pop(e, 0)
+        if not c:
+            continue
+        if not e[i - 1]:
+            raise ArithmeticError("synthetic division left a remainder")
+        q = list(e)
+        q[i - 1] -= 1
+        q = tuple(q)
+        quotient[q] = quotient.get(q, 0) + c
+        # cancel c * x_j * q from the numerator
+        r = list(q)
+        r[j - 1] += 1
+        r = tuple(r)
+        prev = numerator.get(r, 0)
+        if not prev:
+            heapq.heappush(heap, tuple(-x for x in r))
+        numerator[r] = prev + c
+    return polyring.Poly(n, {e: sign * c for e, c in quotient.items()})
 
 
 def hilbert_series(factors, top):

@@ -1,5 +1,7 @@
 """Command-line behavior: syntaxes, exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -13,6 +15,7 @@ import skewdd
 from skewdd import cli
 from skewdd import verify
 from skewdd.fkalg import FKElement, FKTensor, ParseError
+from skewdd.fkcanon import ResourceLimitError
 
 
 def run_cli(capsys, *argv):
@@ -292,6 +295,25 @@ def test_verify_rejects_a_negative_max_degree(capsys):
     assert "max_degree must be at least 0" in err
 
 
+@pytest.mark.parametrize("n, top", [(3, 4), (4, 6)])
+def test_verify_canon_refuses_a_degree_above_its_table(capsys, n, top):
+    message = f"degree {top + 1} out of range (0..{top})"
+    with pytest.raises(ResourceLimitError) as info:
+        verify.run_suite("canon", n=n, samples=1, max_degree=top + 1)
+    assert str(info.value) == message
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "canon", "--n", str(n), "--samples", "1",
+        "--max-degree", str(top + 1),
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "canon", "--n", str(n), "--samples", "1",
+        "--max-degree", str(top),
+    )
+    assert code == 0
+    assert f"dim({n},{top})=" in out
+
+
 @pytest.mark.parametrize("suite, check, scope", [
     ("agreement", "longest word factorization", "windows 3..2, 0 orderings"),
     ("hopf", "pairing vanishing", "0 degree or descent mismatches"),
@@ -332,6 +354,58 @@ def test_repeated_invocations_are_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def main_in_process(argv):
+    """(exit status, stdout) of one ``cli.main`` call in this process; the
+    SystemExit of a parse error gives its status."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+# a valid call, a parse error, a domain error, then both formats of each
+# query command
+REUSE_ARGVS = [
+    ("skew", "--n", "4", "--w", "3412", "--v", "2"),
+    ("skew", "--n", "4", "--w", "3412", "--v", "2", "--method", "magic"),
+    ("canon", "--n", "4", "--dim", "-1"),
+    ("skew", "--n", "4", "--w", "2,1,3,2", "--v", "2", "--method", "signed"),
+    ("skew", "--n", "4", "--w", "3412", "--v", "2", "--format", "json"),
+    ("cuv", "--n", "3", "--u", "213", "--v", "213", "--w", "312"),
+    ("cuv", "--n", "3", "--u", "213", "--v", "213", "--w", "312", "--format", "json"),
+    ("schubert", "--w", "1432"),
+    ("schubert", "--w", "1,2", "--n", "3", "--format", "json"),
+    ("fk", "coproduct", "x(1,2)x(2,3)", "--n", "3"),
+    ("fk", "pairing", "x(1,2)", "x(1,2)", "--n", "3", "--format", "json"),
+    ("canon", "x(1,2)x(2,3)x(1,2)", "--n", "3"),
+    ("canon", "--n", "3", "--dim", "2", "--format", "json"),
+]
+
+
+def test_one_parser_serves_every_call():
+    built = []
+    real = cli.build_parser
+    cli.build_parser = lambda: built.append(1) or real()
+    cli._parser = None
+    try:
+        results = [main_in_process(argv) for argv in REUSE_ARGVS]
+    finally:
+        cli.build_parser = real
+    assert len(built) == 1
+    assert [code for code, _ in results[:3]] == [0, 2, 1]
+    env = child_env()
+    for argv, result in zip(REUSE_ARGVS, results):
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewdd.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result == (proc.returncode, proc.stdout), argv
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def console_scripts():

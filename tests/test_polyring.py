@@ -7,7 +7,12 @@ import pytest
 from skewdd import polyring as pr
 from skewdd import symgroup as sg
 
-from conftest import bjs_schubert, brute_reduced_words, right_descents
+from conftest import (
+    bjs_schubert,
+    brute_reduced_words,
+    right_descents,
+    synthetic_divided_difference,
+)
 
 
 def test_constructors_and_degree():
@@ -90,11 +95,50 @@ def test_divided_difference_basics():
     assert pr.divided_difference(1, 3, sym) == pr.Poly.zero(3)
 
 
-def test_divided_difference_rejects_a_remainder(monkeypatch):
-    # a wrong swap leaves x2 as the numerator, which x1 - x2 does not divide
-    monkeypatch.setattr(pr, "act", lambda w, P: pr.Poly.zero(P.n))
-    with pytest.raises(ArithmeticError, match="remainder"):
-        pr.divided_difference(1, 2, pr.Poly.variable(2, 2))
+def _random_pairs(rng, n, count):
+    """(i, j, P) at window n: every ordered pair of distinct indices once,
+    adjacent or not, then ``count`` random pairs, each with a random P of
+    up to 6 terms of degree at most 8 (zero included)."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    pairs += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(count)]
+    for i, j in pairs:
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            e = [0] * n
+            for _ in range(rng.randint(0, 8)):
+                e[rng.randrange(n)] += 1
+            terms[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        yield i, j, pr.Poly(n, terms)
+
+
+def test_divided_difference_matches_synthetic_division():
+    rng = random.Random(19)
+    for n in range(2, 7):
+        for i, j, p in _random_pairs(rng, n, 60):
+            got = pr.divided_difference(i, j, p)
+            assert got.n == n
+            assert got.terms == synthetic_divided_difference(i, j, p).terms
+    assert pr.divided_difference(1, 3, pr.Poly.zero(3)) == pr.Poly.zero(3)
+
+
+def test_divided_difference_defining_identity():
+    # (x_i - x_j) * d_ij P == P - t_ij P
+    rng = random.Random(23)
+    for n in range(2, 7):
+        for i, j, p in _random_pairs(rng, n, 30):
+            lhs = (pr.Poly.variable(i, n) - pr.Poly.variable(j, n)) * (
+                pr.divided_difference(i, j, p)
+            )
+            assert lhs == p - pr.act(sg.transposition(i, j, n), p)
+
+
+@pytest.mark.parametrize("i, j", [(0, 2), (-1, 2), (2, 0)])
+def test_divided_difference_rejects_a_bad_index(i, j):
+    p = pr.Poly.parse("x1^2*x3", 3)
+    lo, hi = sorted((i, j))
+    with pytest.raises(ValueError) as info:
+        pr.divided_difference(i, j, p)
+    assert str(info.value) == f"invalid transposition ({lo},{hi}) in window 3"
 
 
 def test_divided_difference_square_is_zero():
