@@ -258,7 +258,8 @@ def _cmd_verify(args) -> tuple[int, str, object]:
         "suite": args.suite,
         "passed": failed == 0,
         "checks": [
-            {"name": c.name, "passed": c.passed, "details": c.details}
+            {"name": c.name, "passed": c.passed, "details": c.details,
+             "instances": c.instances, "failures": c.failures}
             for c in checks
         ],
     }

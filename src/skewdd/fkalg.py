@@ -38,9 +38,11 @@ __all__ = [
     "sn_degree",
     "coproduct",
     "delta_op",
+    "delta_walk",
     "nabla_op",
     "pairing",
     "pairing_bruhat",
+    "bruhat_chain_words",
     "antipode",
     "sbar_word",
     "sbar",
@@ -89,7 +91,140 @@ def canonical_word(letters) -> tuple[FKWord | None, int]:
     return tuple(out), sign
 
 
-class FKElement:
+class _Terms:
+    """Integer combination of keys with one text form and one JSON form.
+
+    FKElement keys terms on a word, FKTensor on a word pair.  A subclass
+    names the JSON field of each word of a key in ``_FIELDS`` and orders
+    its terms in ``sorted_terms``; rendering and parsing read a key as its
+    words joined by " (x) ".
+    """
+
+    __slots__ = ("n", "terms")
+    _FIELDS: tuple[str, ...] = ()
+    _NOUN = ""
+
+    @classmethod
+    def _key(cls, words):
+        return words[0] if len(cls._FIELDS) == 1 else tuple(words)
+
+    def _words(self, key) -> tuple:
+        return (key,) if len(self._FIELDS) == 1 else key
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        out = type(self)(max(self.n, other.n))
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other: int):
+        out = type(self)(self.n)
+        if other:
+            out.terms = {k: c * other for k, c in self.terms.items()}
+        return out
+
+    __rmul__ = __mul__
+
+    def __str__(self) -> str:
+        out = ""
+        for key, c in self.sorted_terms():
+            body = " (x) ".join(word_text(w) for w in self._words(key))
+            if abs(c) == 1:
+                chunk = body
+            elif body == "1":  # the empty word of an element is the constant
+                chunk = str(abs(c))
+            else:
+                chunk = f"{abs(c)}*{body}"
+            if out:
+                out += f" {'-' if c < 0 else '+'} {chunk}"
+            else:
+                out = ("-" if c < 0 else "") + chunk
+        return out or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n}, {self.terms!r})"
+
+    def to_json_dict(self) -> dict:
+        terms = []
+        for key, c in self.sorted_terms():
+            t = {"coeff": c}
+            for field, w in zip(self._FIELDS, self._words(key)):
+                t[field] = [list(g) for g in w]
+            terms.append(t)
+        return {"n": self.n, "terms": terms}
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        terms = [
+            (
+                cls._key([tuple((int(a), int(b)) for a, b in t[f]) for f in cls._FIELDS]),
+                int(t["coeff"]),
+            )
+            for t in data["terms"]
+        ]
+        return cls(int(data["n"]), terms)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_dict(json.loads(text))
+
+    @classmethod
+    def parse(cls, text: str, n: int):
+        """Parse the text form produced by ``str``.
+
+        >>> print(FKElement.parse("x(2,1)x(2,3) + 2", 3))
+        2 - x(1,2)x(2,3)
+        >>> print(FKTensor.parse("- 2*x(1,2) (x) 1", 3))
+        -2*x(1,2) (x) 1
+        """
+        terms = []
+        pos = _skip_spaces(text, 0)
+        sign = 1
+        if pos < len(text) and text[pos] in "+-":
+            sign = -1 if text[pos] == "-" else 1
+            pos = _skip_spaces(text, pos + 1)
+        if pos >= len(text):
+            raise ParseError(f"empty {cls._NOUN} text", pos)
+        while True:
+            word, coeff, pos = _parse_term(text, pos)
+            words = [word]
+            for _ in cls._FIELDS[1:]:
+                pos = _skip_spaces(text, pos)
+                if not text.startswith("(x)", pos):
+                    raise ParseError("expected '(x)' between tensor factors", pos)
+                word, pos = _parse_word(text, _skip_spaces(text, pos + 3))
+                if word is None:
+                    raise ParseError("expected a word after '(x)'", pos)
+                words.append(word)
+            for w in words:
+                for a, b in w:
+                    if not (1 <= a <= n and 1 <= b <= n):
+                        raise ParseError(f"index out of window {n}", pos)
+            terms.append((cls._key(words), sign * coeff))
+            pos = _skip_spaces(text, pos)
+            if pos >= len(text):
+                return cls(n, terms)
+            if text[pos] not in "+-":
+                raise ParseError("trailing input", pos)
+            sign = -1 if text[pos] == "-" else 1
+            pos = _skip_spaces(text, pos + 1)
+
+
+class FKElement(_Terms):
     """Integer combination of words in the generators x(i,j), 1 <= i < j <= n.
 
     Construction reorients letters and drops words with equal adjacent
@@ -101,7 +236,9 @@ class FKElement:
     0
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    _FIELDS = ("word",)
+    _NOUN = "element"
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -141,9 +278,6 @@ class FKElement:
         out.terms = dict(self.terms)
         return out
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Maximal word length, -1 for zero."""
         if not self.terms:
@@ -177,35 +311,16 @@ class FKElement:
     def __add__(self, other) -> "FKElement":
         if isinstance(other, int):
             other = FKElement(self.n, {(): other})
-        a, b = self._common(other)
-        terms = dict(a.terms)
-        for w, c in b.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        out = FKElement(a.n)
-        out.terms = {w: c for w, c in terms.items() if c}
-        return out
+        return super().__add__(other)
 
     __radd__ = __add__
-
-    def __neg__(self) -> "FKElement":
-        out = FKElement(self.n)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other) -> "FKElement":
-        if isinstance(other, int):
-            other = FKElement(self.n, {(): other})
-        return self + (-other)
 
     def __rsub__(self, other) -> "FKElement":
         return (-self) + other
 
     def __mul__(self, other) -> "FKElement":
         if isinstance(other, int):
-            out = FKElement(self.n)
-            if other:
-                out.terms = {w: c * other for w, c in self.terms.items()}
-            return out
+            return super().__mul__(other)
         a, b = self._common(other)
         terms: dict[FKWord, int] = {}
         for w1, c1 in a.terms.items():
@@ -234,65 +349,6 @@ class FKElement:
 
     def sorted_terms(self) -> list[tuple[FKWord, int]]:
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            body = word_text(w) if w else None
-            if body is None:
-                chunk = str(abs(c))
-            elif abs(c) == 1:
-                chunk = body
-            else:
-                chunk = f"{abs(c)}*{body}"
-            parts.append(("-" if c < 0 else "+", chunk))
-        sign, chunk = parts[0]
-        out = ("-" if sign == "-" else "") + chunk
-        for sign, chunk in parts[1:]:
-            out += f" {sign} {chunk}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"FKElement({self.n}, {self.terms!r})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"coeff": c, "word": [list(g) for g in w]}
-                for w, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FKElement":
-        n = int(data["n"])
-        terms = [
-            (tuple((int(a), int(b)) for a, b in t["word"]), int(t["coeff"]))
-            for t in data["terms"]
-        ]
-        return cls(n, terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FKElement":
-        return cls.from_json_dict(json.loads(text))
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "FKElement":
-        """Parse the text form produced by ``str``.
-
-        >>> print(FKElement.parse("x(2,1)x(2,3) + 2", 3))
-        2 - x(1,2)x(2,3)
-        """
-        terms, pos = _parse_terms(text, 0, n)
-        if pos != len(text):
-            raise ParseError("trailing input", pos)
-        return cls(n, terms)
 
 
 def word_text(w: FKWord) -> str:
@@ -347,7 +403,7 @@ def _parse_word(text: str, pos: int) -> tuple[FKWord | None, int]:
     return tuple(letters), pos
 
 
-def _parse_term(text: str, pos: int, n: int) -> tuple[FKWord, int, int]:
+def _parse_term(text: str, pos: int) -> tuple[FKWord, int, int]:
     # [int ['*']] word?  -- at least one of coefficient, word
     coeff = None
     start = pos
@@ -366,28 +422,6 @@ def _parse_term(text: str, pos: int, n: int) -> tuple[FKWord, int, int]:
     if word is None:
         raise ParseError("expected a term", start)
     return word, 1, pos
-
-
-def _parse_terms(text: str, pos: int, n: int) -> tuple[list[tuple[FKWord, int]], int]:
-    terms: list[tuple[FKWord, int]] = []
-    pos = _skip_spaces(text, pos)
-    sign = 1
-    if pos < len(text) and text[pos] in "+-":
-        sign = -1 if text[pos] == "-" else 1
-        pos = _skip_spaces(text, pos + 1)
-    if pos >= len(text):
-        raise ParseError("empty element text", pos)
-    while True:
-        word, coeff, pos = _parse_term(text, pos, n)
-        for a, b in word:
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ParseError(f"index out of window {n}", pos)
-        terms.append((word, sign * coeff))
-        pos = _skip_spaces(text, pos)
-        if pos >= len(text) or text[pos] not in "+-":
-            return terms, pos
-        sign = -1 if text[pos] == "-" else 1
-        pos = _skip_spaces(text, pos + 1)
 
 
 def generator(i: int, j: int, n: int) -> FKElement:
@@ -443,10 +477,12 @@ def sn_degree(word, n: int) -> Perm:
     return out
 
 
-class FKTensor:
+class FKTensor(_Terms):
     """Integer combination of ordered word pairs (coproduct values)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    _FIELDS = ("left", "right")
+    _NOUN = "tensor"
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -457,20 +493,6 @@ class FKTensor:
                 if c:
                     self.terms[key] = self.terms.get(key, 0) + c
             self.terms = {k: c for k, c in self.terms.items() if c}
-
-    @classmethod
-    def of(cls, A: FKElement, B: FKElement) -> "FKTensor":
-        """The simple tensor A (x) B."""
-        n = max(A.n, B.n)
-        out = cls(n)
-        for wa, ca in A.terms.items():
-            for wb, cb in B.terms.items():
-                out.terms[(wa, wb)] = out.terms.get((wa, wb), 0) + ca * cb
-        out.terms = {k: c for k, c in out.terms.items() if c}
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def swap(self) -> "FKTensor":
         out = FKTensor(self.n)
@@ -490,41 +512,6 @@ class FKTensor:
         out.terms = {k: c for k, c in out.terms.items() if c}
         return out
 
-    def left_component(self, word) -> FKElement:
-        """The right-slot element paired with an exact left-slot word."""
-        word = tuple(tuple(g) for g in word)
-        out = FKElement(self.n)
-        for (l, r), c in self.terms.items():
-            if l == word:
-                out.terms[r] = out.terms.get(r, 0) + c
-        out.terms = {k: v for k, v in out.terms.items() if v}
-        return out
-
-    def __add__(self, other: "FKTensor") -> "FKTensor":
-        n = max(self.n, other.n)
-        out = FKTensor(n)
-        out.terms = dict(self.terms)
-        for k, c in other.terms.items():
-            out.terms[k] = out.terms.get(k, 0) + c
-        out.terms = {k: c for k, c in out.terms.items() if c}
-        return out
-
-    def __neg__(self) -> "FKTensor":
-        out = FKTensor(self.n)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "FKTensor") -> "FKTensor":
-        return self + (-other)
-
-    def __mul__(self, other: int) -> "FKTensor":
-        out = FKTensor(self.n)
-        if other:
-            out.terms = {k: c * other for k, c in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FKTensor):
             return NotImplemented
@@ -532,86 +519,6 @@ class FKTensor:
 
     def sorted_terms(self) -> list[tuple[tuple[FKWord, FKWord], int]]:
         return sorted(self.terms.items(), key=lambda t: (-len(t[0][0]), t[0][0], t[0][1]))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (l, r), c in self.sorted_terms():
-            body = f"{word_text(l)} (x) {word_text(r)}"
-            chunk = body if abs(c) == 1 else f"{abs(c)}*{body}"
-            parts.append(("-" if c < 0 else "+", chunk))
-        sign, chunk = parts[0]
-        out = ("-" if sign == "-" else "") + chunk
-        for sign, chunk in parts[1:]:
-            out += f" {sign} {chunk}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"FKTensor({self.n}, {self.terms!r})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {
-                    "coeff": c,
-                    "left": [list(g) for g in l],
-                    "right": [list(g) for g in r],
-                }
-                for (l, r), c in self.sorted_terms()
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FKTensor":
-        n = int(data["n"])
-        out = cls(n)
-        for t in data["terms"]:
-            l = tuple((int(a), int(b)) for a, b in t["left"])
-            r = tuple((int(a), int(b)) for a, b in t["right"])
-            out.terms[(l, r)] = out.terms.get((l, r), 0) + int(t["coeff"])
-        out.terms = {k: c for k, c in out.terms.items() if c}
-        return out
-
-    @classmethod
-    def from_json(cls, text: str) -> "FKTensor":
-        return cls.from_json_dict(json.loads(text))
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "FKTensor":
-        """Parse the text form produced by ``str``."""
-        out = cls(n)
-        pos = _skip_spaces(text, 0)
-        sign = 1
-        if pos < len(text) and text[pos] in "+-":
-            sign = -1 if text[pos] == "-" else 1
-            pos = _skip_spaces(text, pos + 1)
-        if pos >= len(text):
-            raise ParseError("empty tensor text", pos)
-        while True:
-            left, coeff, pos = _parse_term(text, pos, n)
-            pos = _skip_spaces(text, pos)
-            if not text.startswith("(x)", pos):
-                raise ParseError("expected '(x)' between tensor factors", pos)
-            pos = _skip_spaces(text, pos + 3)
-            right, pos = _parse_word(text, pos)
-            if right is None:
-                raise ParseError("expected a word after '(x)'", pos)
-            key = (left, right)
-            out.terms[key] = out.terms.get(key, 0) + sign * coeff
-            pos = _skip_spaces(text, pos)
-            if pos >= len(text):
-                break
-            if text[pos] not in "+-":
-                raise ParseError("expected '+' or '-' between tensor terms", pos)
-            sign = -1 if text[pos] == "-" else 1
-            pos = _skip_spaces(text, pos + 1)
-        out.terms = {k: c for k, c in out.terms.items() if c}
-        return out
 
 
 def coproduct(A: FKElement) -> FKTensor:
@@ -664,6 +571,17 @@ def _delta_letter(a: int, b: int, A: FKElement) -> FKElement:
     return out
 
 
+def _by_words(P: FKElement, A: FKElement, op) -> FKElement:
+    """The sum over the words of P of their coefficient times op(word, A)."""
+    out = FKElement(max(P.n, A.n))
+    A = A.extend(out.n)
+    for word, c in P.terms.items():
+        for w, cc in op(word, A).terms.items():
+            out.terms[w] = out.terms.get(w, 0) + c * cc
+    out.terms = {k: v for k, v in out.terms.items() if v}
+    return out
+
+
 def delta_op(P, A: FKElement) -> FKElement:
     """The left slicing operator of a word (or element) P applied to A.
 
@@ -677,16 +595,40 @@ def delta_op(P, A: FKElement) -> FKElement:
     0
     """
     if isinstance(P, FKElement):
-        out = FKElement(max(P.n, A.n))
-        for word, c in P.terms.items():
-            part = delta_op(word, A.extend(out.n))
-            for w, cc in part.terms.items():
-                out.terms[w] = out.terms.get(w, 0) + c * cc
-        out.terms = {k: v for k, v in out.terms.items() if v}
-        return out
+        return _by_words(P, A, delta_op)
     for a, b in reversed(tuple(P)):
         A = _delta_letter(a, b, A)
     return A
+
+
+def delta_walk(B: FKElement, letters, depth: int) -> dict[FKWord, FKElement]:
+    """{u: delta_op(u, B)} over the words u of ``depth`` letters from
+    ``letters`` whose image is nonzero, found in one walk over suffixes.
+
+    Each word grows at the front, since the last letter of u acts first,
+    and each trie node makes one single-letter slicing of its parent's
+    image.  A branch is dropped at its first zero image: slicing is linear,
+    so it maps zero to zero and no word ending with that suffix can have a
+    nonzero image.
+
+    >>> B = FKElement.parse("x(1,2)x(2,3)", 3)
+    >>> walk = delta_walk(B, [(1, 2), (1, 3), (2, 3)], 2)
+    >>> sorted((u, str(img)) for u, img in walk.items())
+    [(((1, 3), (2, 3)), '1'), (((2, 3), (1, 2)), '1')]
+    """
+    letters = [tuple(g) for g in letters]
+    out: dict[FKWord, FKElement] = {}
+    walk = [((), B)] if B.terms else []
+    while walk:
+        u, img = walk.pop()
+        if len(u) == depth:
+            out[u] = img
+            continue
+        for a, b in letters:
+            nxt = _delta_letter(a, b, img)
+            if nxt.terms:
+                walk.append((((a, b),) + u, nxt))
+    return out
 
 
 def _nabla_letter(A: FKElement, a: int, b: int) -> FKElement:
@@ -721,13 +663,7 @@ def nabla_op(A: FKElement, P) -> FKElement:
     x(1,2)
     """
     if isinstance(P, FKElement):
-        out = FKElement(max(P.n, A.n))
-        for word, c in P.terms.items():
-            part = nabla_op(A.extend(out.n), word)
-            for w, cc in part.terms.items():
-                out.terms[w] = out.terms.get(w, 0) + c * cc
-        out.terms = {k: v for k, v in out.terms.items() if v}
-        return out
+        return _by_words(P, A, lambda word, B: nabla_op(B, word))
     for a, b in tuple(P):
         A = _nabla_letter(A, a, b)
     return A
@@ -749,6 +685,13 @@ def pairing(A: FKElement, B: FKElement) -> int:
     return total
 
 
+def _chain_step(a: int, b: int, v: Perm) -> Perm | None:
+    """t_ab * v when it is one longer than v, else None: one step of the chain
+    test shared by ``pairing_bruhat`` and ``bruhat_chain_words``."""
+    nxt = symgroup.compose(symgroup.transposition(a, b, len(v)), v)
+    return nxt if symgroup.length(nxt) == symgroup.length(v) + 1 else None
+
+
 def pairing_bruhat(w: Perm, word) -> int:
     """Chain test equivalent to pairing the word against the standard word
     element of w: build suffix products stepping length by one each time and
@@ -763,11 +706,41 @@ def pairing_bruhat(w: Perm, word) -> int:
     n = max(len(w), max((b for _, b in word), default=1))
     v = symgroup.identity(n)
     for a, b in reversed(word):
-        nxt = symgroup.compose(symgroup.transposition(a, b, n), v)
-        if symgroup.length(nxt) != symgroup.length(v) + 1:
+        v = _chain_step(a, b, v)
+        if v is None:
             return 0
-        v = nxt
     return 1 if v == symgroup.embed(symgroup.inverse(w), n) else 0
+
+
+def bruhat_chain_words(w: Perm, letters) -> set[FKWord]:
+    """The words u of length(w) letters from ``letters`` with
+    ``pairing_bruhat(w, u) == 1``, found in one walk over suffixes.
+
+    Each word grows at the front, as ``pairing_bruhat`` reads it from the
+    back, and each trie node takes one chain step.  A suffix whose step
+    fails to raise the length by one is dropped: ``pairing_bruhat`` is 0 on
+    every word that ends with it.
+
+    >>> sorted(bruhat_chain_words((3, 1, 2), [(1, 2), (1, 3)]))
+    [((1, 3), (1, 2))]
+    """
+    letters = [tuple(g) for g in letters]
+    n = max(len(w), max((b for _, b in letters), default=1))
+    target = symgroup.embed(symgroup.inverse(w), n)
+    depth = symgroup.length(w)
+    out: set[FKWord] = set()
+    walk = [((), symgroup.identity(n))]
+    while walk:
+        u, v = walk.pop()
+        if len(u) == depth:
+            if v == target:
+                out.add(u)
+            continue
+        for a, b in letters:
+            nxt = _chain_step(a, b, v)
+            if nxt is not None:
+                walk.append((((a, b),) + u, nxt))
+    return out
 
 
 def antipode(A: FKElement) -> FKElement:

@@ -33,6 +33,7 @@ __all__ = [
     "del_perm",
     "staircase",
     "schubert",
+    "skew_direct_images",
     "skew_direct_apply",
     "random_poly",
 ]
@@ -358,39 +359,63 @@ def schubert(w: Perm, n: int | None = None) -> Poly:
     return del_perm(u, staircase(n))
 
 
-def skew_direct_apply(w: Perm, v: Perm, P: Poly, word: Word | None = None) -> Poly:
-    """Apply the skew divided difference operator of the pair v <= w to P.
+def skew_direct_images(w: Perm, P: Poly, word: Word | None = None) -> dict[Perm, Poly]:
+    """The skew divided difference operators of every v <= w applied to P,
+    as {v: image}, leaving out zero images.
 
-    Expands over all position sets J of the chosen reduced word of w that
-    spell v: letters inside J act as variable swaps, letters outside J act as
-    divided differences, and the inverse of v is applied last.
+    One walk runs over the chosen reduced word of w, last position first.
+    Each letter a acts as the swap of x_a and x_(a+1), joining the subword
+    J that spells v, or as the divided difference d_a.  The swap is taken
+    only while J stays reduced: s_a in front of a reduced word for u stays
+    reduced iff u^(-1)(a) < u^(-1)(a+1), read from the inverse kept along
+    the walk.  Swaps and divided differences are linear, so a zero image
+    stays zero and its branch is dropped.  A leaf adds v^(-1) applied to
+    its image to the entry of v.
 
-    >>> print(skew_direct_apply((2, 3, 1), (1, 3, 2), Poly.parse("x1*x2", 3)))
-    x2
+    >>> images = skew_direct_images((2, 3, 1), Poly.parse("x1*x2", 3))
+    >>> [(v, str(image)) for v, image in sorted(images.items())]
+    [((1, 2, 3), '1'), ((1, 3, 2), 'x2'), ((2, 1, 3), 'x1'), ((2, 3, 1), 'x1*x2')]
     """
-    w, v = symgroup.common_window(w, v)
     n = max(len(w), P.n)
-    w, v = symgroup.embed(w, n), symgroup.embed(v, n)
+    w = symgroup.embed(w, n)
     if word is None:
         word = symgroup.canonical_reduced_word(w)
     else:
         word = tuple(word)
         if symgroup.from_word(word, n) != w or not symgroup.is_reduced(word, n):
             raise ValueError("word is not a reduced word for w")
-    P = P.extend(n)
-    vinv = symgroup.inverse(v)
-    total = Poly.zero(n)
-    for J in symgroup.reduced_subwords(word, v, n):
-        Jset = set(J)
-        out = P
-        for pos in range(len(word), 0, -1):
-            a = word[pos - 1]
-            if pos in Jset:
-                out = act(symgroup.simple(a, n), out)
-            else:
-                out = divided_difference(a, a + 1, out)
-        total = total + act(vinv, out)
-    return total
+    sums: dict[Perm, Poly] = {}
+    vinv = list(range(1, n + 1))
+
+    def walk(pos: int, image: Poly) -> None:
+        if not image.terms:
+            return
+        if pos == 0:
+            v = symgroup.inverse(vinv)
+            sums[v] = sums.get(v, Poly.zero(n)) + act(tuple(vinv), image)
+            return
+        a = word[pos - 1]
+        if vinv[a - 1] < vinv[a]:
+            vinv[a - 1], vinv[a] = vinv[a], vinv[a - 1]
+            walk(pos - 1, act(symgroup.simple(a, n), image))
+            vinv[a - 1], vinv[a] = vinv[a], vinv[a - 1]
+        walk(pos - 1, divided_difference(a, a + 1, image))
+
+    walk(len(word), P.extend(n))
+    return {v: image for v, image in sums.items() if image.terms}
+
+
+def skew_direct_apply(w: Perm, v: Perm, P: Poly, word: Word | None = None) -> Poly:
+    """Apply the skew divided difference operator of the pair v <= w to P:
+    the entry of v in ``skew_direct_images``, zero when there is none.
+
+    >>> print(skew_direct_apply((2, 3, 1), (1, 3, 2), Poly.parse("x1*x2", 3)))
+    x2
+    """
+    w, v = symgroup.common_window(w, v)
+    n = max(len(w), P.n)
+    images = skew_direct_images(w, P, word)
+    return images.get(symgroup.embed(v, n), Poly.zero(n))
 
 
 def random_poly(rng, n: int, max_degree: int = 4, terms: int = 4) -> Poly:

@@ -10,8 +10,9 @@ for windows up to 4, window 5 is sampled, anything larger is refused.
 
 from __future__ import annotations
 
+import inspect
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import fkalg, fkcanon, polyring, skew, symgroup
 from .fkcanon import ResourceLimitError
@@ -32,11 +33,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Check:
-    """Outcome of one verified property."""
+    """Outcome of one verified property; a counted check also records how
+    many instances it saw and how many of them failed."""
 
     name: str
     passed: bool
     details: str
+    instances: int | None = None
+    failures: int | None = None
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -46,14 +50,29 @@ class Check:
 def _counted(name: str, instances: int, failures: int, details: str) -> Check:
     """A check over ``instances`` cases: it passes only when it saw at least
     one case and none failed."""
-    return Check(name, instances > 0 and failures == 0, details)
+    return Check(name, instances > 0 and failures == 0, details, instances, failures)
 
 
-def _require_window(n: int, largest: int) -> None:
+# largest window of each suite but canon, which takes the windows of its table
+_LARGEST_WINDOW = {"leibniz": 4, "hopf": 6, "positivity": 5, "agreement": 5}
+
+
+def _check_limits(suite: str, n: int, max_degree: int | None = None) -> None:
+    """Raise ResourceLimitError when ``suite`` refuses this window or degree."""
+    if suite == "canon":
+        if n not in _EXPECTED_DIMS:
+            raise ResourceLimitError(f"window {n} out of range for this suite (3..4)")
+        top = len(_EXPECTED_DIMS[n]) - 1
+        if max_degree is not None and max_degree > top:
+            raise ResourceLimitError(f"degree {max_degree} out of range (0..{top})")
+        return
+    largest = _LARGEST_WINDOW[suite]
     if not 2 <= n <= largest:
         raise ResourceLimitError(
             f"window {n} out of range for this suite (2..{largest})"
         )
+    if suite == "hopf" and not 0 <= max_degree <= 8:
+        raise ResourceLimitError(f"degree {max_degree} out of range (0..8)")
 
 
 def run_leibniz(
@@ -63,13 +82,13 @@ def run_leibniz(
 
     For every permutation w of the window and each sampled pair (P, Q),
     the divided difference of P*Q along w must equal the sum over v of
-    act(v, skew(w/v, P)) times the divided difference of Q along v.
-    Nonzero skew images must drop degree by the length difference.
+    act(v, skew(w/v, P)) times the divided difference of Q along v; one
+    walk gives skew(w/v, P) for every v at once.  Nonzero skew images must
+    drop degree by the length difference.
     """
-    _require_window(n, 4)
+    _check_limits("leibniz", n)
     rng = random.Random(seed)
     perms = symgroup.all_permutations(n)
-    below = {w: [v for v in perms if symgroup.bruhat_leq(v, w)] for w in perms}
     zero = polyring.Poly.zero(n)
     instances = 0
     rule_fails = 0
@@ -82,12 +101,10 @@ def run_leibniz(
         for w in perms:
             instances += 1
             rhs = zero
-            for v in below[w]:
-                a = polyring.skew_direct_apply(w, v, p)
-                if a != zero:
-                    drop = symgroup.length(w) - symgroup.length(v)
-                    if a.degree() > p.degree() - drop:
-                        degree_fails += 1
+            for v, a in polyring.skew_direct_images(w, p).items():
+                drop = symgroup.length(w) - symgroup.length(v)
+                if a.degree() > p.degree() - drop:
+                    degree_fails += 1
                 rhs = rhs + polyring.act(v, a) * dq[v]
             if polyring.del_perm(w, pq) != rhs:
                 rule_fails += 1
@@ -128,9 +145,7 @@ def run_hopf(
     Everything here is syntactic in the free model: no canonical forms
     are consulted, so any window up to 6 is allowed.
     """
-    _require_window(n, 6)
-    if not 0 <= max_degree <= 8:
-        raise ResourceLimitError(f"degree {max_degree} out of range (0..8)")
+    _check_limits("hopf", n, max_degree)
     rng = random.Random(seed)
     fails = {
         "reversal": 0,
@@ -256,7 +271,7 @@ def run_positivity(n: int = 4, samples: int = 200, seed: int = 0) -> list[Check]
     Windows up to 4 sweep every ordered pair of permutations; window 5
     samples comparable and incomparable pairs separately.
     """
-    _require_window(n, 5)
+    _check_limits("positivity", n)
     rng = random.Random(seed)
     perms = symgroup.all_permutations(n)
     if n <= 4:
@@ -305,6 +320,12 @@ def run_positivity(n: int = 4, samples: int = 200, seed: int = 0) -> list[Check]
     ]
 
 
+def _inversions(w) -> list[fkalg.Letter]:
+    """The letters (i, j), i < j, with w(i) > w(j)."""
+    n = len(w)
+    return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1) if w[i - 1] > w[j - 1]]
+
+
 def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
     """Check that independent routes to the same object coincide.
 
@@ -313,8 +334,11 @@ def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
     inversion letters of conjugated permutation words, and the longest
     word as a product over reflection orderings. Canonical-form checks
     cap the window at 4; window 5 runs the syntactic ones on samples.
+    Up to window 4 the chain pairing takes every word of length(w)
+    inversion letters of each w: one walk finds the chains to w^(-1),
+    one the nonzero <u, x_w>, and they must agree on every word of either.
     """
-    _require_window(n, 5)
+    _check_limits("agreement", n)
     rng = random.Random(seed)
     perms = symgroup.all_permutations(n)
     checks = []
@@ -398,34 +422,20 @@ def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
             lw = symgroup.length(w)
             if lw == 0:
                 continue
-            inv = [
-                (i, j)
-                for i in range(1, n)
-                for j in range(i + 1, n + 1)
-                if w[i - 1] > w[j - 1]
-            ]
-            xw = fkalg.nilcoxeter_element(w)
-            stack = [()]
-            while stack:
-                word = stack.pop()
-                if len(word) == lw:
-                    chain_count += 1
-                    el = fkalg.FKElement.from_word(word, n)
-                    if fkalg.pairing_bruhat(w, word) != fkalg.pairing(xw, el):
-                        chain_fails += 1
-                else:
-                    stack.extend(word + (g,) for g in inv)
+            inv = _inversions(w)
+            chain_count += len(inv) ** lw
+            paired = fkalg.delta_walk(fkalg.nilcoxeter_element(w), inv, lw)
+            chains = fkalg.bruhat_chain_words(w, inv)
+            chain_fails += sum(
+                (u in chains) != (paired[u].coefficient(()) if u in paired else 0)
+                for u in chains | paired.keys()
+            )
     else:
         chain_scope = f"{samples * 4} sampled inversion-letter words in S{n}"
         for _ in range(samples * 4):
             w = perms[rng.randrange(len(perms))]
             lw = symgroup.length(w)
-            inv = [
-                (i, j)
-                for i in range(1, n)
-                for j in range(i + 1, n + 1)
-                if w[i - 1] > w[j - 1]
-            ] or [(1, 2)]
+            inv = _inversions(w) or [(1, 2)]
             word = tuple(inv[rng.randrange(len(inv))] for _ in range(lw))
             chain_count += 1
             el = fkalg.FKElement.from_word(word, n)
@@ -482,13 +492,7 @@ def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
         inv_scope = f"{len(pool)} sampled permutations in S{n}"
     for w in pool:
         word, sign = fkalg.sbar_word(fkalg.nilcoxeter_word(w), n)
-        inv = {
-            (i, j)
-            for i in range(1, n)
-            for j in range(i + 1, n + 1)
-            if w[i - 1] > w[j - 1]
-        }
-        if sign != 1 or len(word) != len(set(word)) or set(word) != inv:
+        if sign != 1 or len(word) != len(set(word)) or set(word) != set(_inversions(w)):
             inv_fails += 1
     checks.append(
         _counted(
@@ -572,15 +576,10 @@ def run_canon(
     n: int = 3, samples: int = 1000, seed: int = 0, max_degree: int | None = None
 ) -> list[Check]:
     """Check the canonical form: dimensions, vanishing, and linearity."""
-    if n not in _EXPECTED_DIMS:
-        raise ResourceLimitError(f"window {n} out of range for this suite (3..4)")
+    _check_limits("canon", n, max_degree)
     rng = random.Random(seed)
     expected = _EXPECTED_DIMS[n]
     if max_degree is not None:
-        if max_degree >= len(expected):
-            raise ResourceLimitError(
-                f"degree {max_degree} out of range (0..{len(expected) - 1})"
-            )
         expected = expected[: max_degree + 1]
     top = len(expected) - 1
     dims = tuple(fkcanon.graded_dimension(n, d) for d in range(top + 1))
@@ -650,12 +649,6 @@ _RUNNERS = {
     "canon": run_canon,
 }
 
-_EXTRA = {
-    "leibniz": ("max_degree",),
-    "hopf": ("max_degree",),
-    "canon": ("max_degree",),
-}
-
 
 def run_suite(
     suite: str,
@@ -666,7 +659,9 @@ def run_suite(
 ) -> list[Check]:
     """Run one named suite, or every suite in order for "all".
 
-    Arguments left as None take each suite's own defaults.
+    Arguments left as None take each suite's own defaults, and a suite
+    that takes no ``max_degree`` ignores it.  Every selected suite's window
+    and degree limits are checked before any suite runs.
 
     >>> run_suite("nope")
     Traceback (most recent call last):
@@ -681,20 +676,22 @@ def run_suite(
         raise ValueError(f"samples must be at least 1, got {samples}")
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"max_degree must be at least 0, got {max_degree}")
-    if suite == "all":
-        out = []
-        for name in SUITES[:-1]:
-            for c in run_suite(name, n=n, samples=samples, seed=seed,
-                               max_degree=max_degree):
-                out.append(Check(f"{name}: {c.name}", c.passed, c.details))
-        return out
-    kwargs = {}
-    if n is not None:
-        kwargs["n"] = n
-    if samples is not None:
-        kwargs["samples"] = samples
-    if seed is not None:
-        kwargs["seed"] = seed
-    if max_degree is not None and suite in _EXTRA:
-        kwargs["max_degree"] = max_degree
-    return _RUNNERS[suite](**kwargs)
+    given = {"n": n, "samples": samples, "seed": seed, "max_degree": max_degree}
+    plan = []
+    for name in SUITES[:-1] if suite == "all" else (suite,):
+        runner = _RUNNERS[name]
+        sig = inspect.signature(runner)
+        args = sig.bind(
+            **{k: v for k, v in given.items() if v is not None and k in sig.parameters}
+        )
+        args.apply_defaults()
+        _check_limits(name, args.arguments["n"], args.arguments.get("max_degree"))
+        plan.append((name, runner, args.arguments))
+    if suite != "all":
+        _, runner, kwargs = plan[0]
+        return runner(**kwargs)
+    return [
+        replace(c, name=f"{name}: {c.name}")
+        for name, runner, kwargs in plan
+        for c in runner(**kwargs)
+    ]

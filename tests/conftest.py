@@ -4,9 +4,10 @@ Everything here recomputes reference values by routes the library does
 not take: brute-force enumeration of words, dense elimination over the
 raw word basis (adjacent duplicates included), the two-sided relation
 products over clean words, synthetic division for divided differences,
-the compatible-sequence expansion of Schubert polynomials, direct basis
-expansion of products, and q-integer products for Hilbert series. Tests
-compare library output against these.
+skew operators applied one position set at a time, the compatible-sequence
+expansion of Schubert polynomials, direct basis expansion of products,
+and q-integer products for Hilbert series. Tests compare library output
+against these. It also holds tensor helpers that only tests use.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 import pytest
 
 from skewdd import fkcanon, polyring, symgroup
-from skewdd.fkalg import FKElement
+from skewdd.fkalg import FKElement, FKTensor
 
 
 @pytest.fixture(scope="session")
@@ -125,6 +126,18 @@ def relation_basis(n, d):
     return out
 
 
+def simple_tensor(A, B):
+    """The tensor A (x) B, one word pair per pair of terms."""
+    return FKTensor(max(A.n, B.n), [
+        ((wa, wb), ca * cb) for wa, ca in A.terms.items() for wb, cb in B.terms.items()
+    ])
+
+
+def left_component(t, word):
+    """The right-slot element paired with the left-slot word ``word`` in t."""
+    return FKElement(t.n, [(r, c) for (l, r), c in t.terms.items() if l == word])
+
+
 def synthetic_divided_difference(i, j, P):
     """(P - t_ij P) / (x_i - x_j) by synthetic division of the numerator.
 
@@ -162,6 +175,32 @@ def synthetic_divided_difference(i, j, P):
             heapq.heappush(heap, tuple(-x for x in r))
         numerator[r] = prev + c
     return polyring.Poly(n, {e: sign * c for e, c in quotient.items()})
+
+
+def per_set_skew_direct_apply(w, v, P, word=None):
+    """The skew operator of v <= w applied to P, one position set at a time.
+
+    For each set J of positions of the reduced word of w that spells v
+    (``reduced_subwords``), the letters in J act as variable swaps and the
+    rest as divided differences, last position first; each result is acted
+    on by v^(-1) and summed.
+    """
+    w, v = symgroup.common_window(w, v)
+    n = max(len(w), P.n)
+    w, v = symgroup.embed(w, n), symgroup.embed(v, n)
+    word = symgroup.canonical_reduced_word(w) if word is None else tuple(word)
+    P = P.extend(n)
+    total = polyring.Poly.zero(n)
+    for J in symgroup.reduced_subwords(word, v, n):
+        out = P
+        for pos in range(len(word), 0, -1):
+            a = word[pos - 1]
+            if pos in J:
+                out = polyring.act(symgroup.simple(a, n), out)
+            else:
+                out = polyring.divided_difference(a, a + 1, out)
+        total = total + polyring.act(symgroup.inverse(v), out)
+    return total
 
 
 def hilbert_series(factors, top):

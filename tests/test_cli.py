@@ -1,6 +1,7 @@
 """Command-line behavior: syntaxes, exit codes, formats, determinism."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -338,6 +339,64 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(json_out)["passed"] is False
+
+
+def _record_runners(monkeypatch):
+    """Replace every suite runner by a stub with its signature that records
+    the suite's name and arguments and returns no checks."""
+    called = []
+    for name, runner in list(verify._RUNNERS.items()):
+        def fake(name=name, **kw):
+            called.append((name, kw))
+            return []
+
+        monkeypatch.setitem(verify._RUNNERS, name, functools.wraps(runner)(fake))
+    return called
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_degree": 5}, "degree 5 out of range (0..4)"),
+    ({"max_degree": 9}, "degree 9 out of range (0..8)"),
+    ({"n": 2}, "window 2 out of range for this suite (3..4)"),
+], ids=("canon-degree", "hopf-degree", "canon-window"))
+def test_verify_all_checks_every_limit_before_running(capsys, monkeypatch, kwargs, message):
+    called = _record_runners(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=re.escape(message)):
+        verify.run_suite("all", **kwargs)
+    argv = [f"--{k.replace('_', '-')}={v}" for k, v in kwargs.items()]
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert called == []
+
+
+def test_verify_all_passes_each_suite_its_own_defaults(monkeypatch):
+    called = _record_runners(monkeypatch)
+    assert verify.run_suite("all", n=3, max_degree=2) == []
+    assert called == [
+        ("leibniz", {"n": 3, "samples": 100, "seed": 0, "max_degree": 2}),
+        ("hopf", {"n": 3, "samples": 200, "seed": 0, "max_degree": 2}),
+        ("positivity", {"n": 3, "samples": 200, "seed": 0}),
+        ("agreement", {"n": 3, "samples": 50, "seed": 0}),
+        ("canon", {"n": 3, "samples": 1000, "seed": 0, "max_degree": 2}),
+    ]
+
+
+def test_verify_json_reports_counts(capsys):
+    code, text, _ = run_cli(capsys, "verify", "--suite", "agreement")
+    code_json, out, _ = run_cli(capsys, "verify", "--suite", "agreement", "--format", "json")
+    assert code == code_json == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    chain = checks["chain pairing"]
+    assert (chain["instances"], chain["failures"], chain["passed"]) == (57496, 0, True)
+    assert "(57496 words), 0 failures" in chain["details"]
+    assert all(c["instances"] > 0 and c["failures"] == 0 for c in checks.values())
+    assert [f"pass  {c['name']}: {c['details']}" for c in checks.values()] == \
+        text.splitlines()[:-1]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "canon", "--samples", "2",
+                           "--format", "json")
+    dims, vanishing = json.loads(out)["checks"][:2]
+    assert (dims["instances"], dims["failures"]) == (None, None)
+    assert (vanishing["instances"], vanishing["failures"]) == (2, 0)
 
 
 def test_verify_is_deterministic_under_seed(capsys):

@@ -1,5 +1,6 @@
 """The braided quadratic algebra in its free word model."""
 
+import itertools
 import json
 import random
 
@@ -7,6 +8,8 @@ import pytest
 
 from skewdd import fkalg as fk
 from skewdd import symgroup as sg
+
+from conftest import left_component, simple_tensor
 
 
 def test_canonical_letter_and_word():
@@ -177,7 +180,7 @@ def test_coproduct_worked_example():
 def test_tensor_behaviour():
     a = fk.generator(1, 2, 3)
     b = fk.generator(2, 3, 3)
-    t = fk.FKTensor.of(a, b)
+    t = simple_tensor(a, b)
     assert t.swap().swap() == t
     assert str(t) == "x(1,2) (x) x(2,3)"
     assert fk.FKTensor.parse(str(t), 3) == t
@@ -185,7 +188,7 @@ def test_tensor_behaviour():
     two = t + t
     assert two == t * 2 and 2 * t == two
     assert (t - t).is_zero()
-    assert t.left_component(((1, 2),)) == b
+    assert left_component(t, ((1, 2),)) == b
 
 
 def test_delta_and_nabla_worked_examples():
@@ -284,3 +287,55 @@ def test_random_word_properties():
 def test_generator_window_check():
     with pytest.raises(ValueError):
         fk.generator(1, 4, 3)
+
+
+def _walk_cases():
+    for n in (3, 4):
+        letters = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        for w in sg.all_permutations(n):
+            if sg.length(w) <= 4:
+                yield w, letters
+
+
+def test_walks_match_per_word_pairings():
+    # every word over all letters, equal adjacent letters included
+    words = 0
+    for w, letters in _walk_cases():
+        lw = sg.length(w)
+        xw = fk.nilcoxeter_element(w)
+        paired = fk.delta_walk(xw, letters, lw)
+        chains = fk.bruhat_chain_words(w, letters)
+        assert all(not img.is_zero() for img in paired.values())
+        for u in itertools.product(letters, repeat=lw):
+            words += 1
+            el = fk.FKElement.from_word(u, len(w))
+            image = fk.delta_op(u, xw)
+            assert paired.get(u, fk.FKElement.zero(len(w))) == image
+            assert image.coefficient(()) == fk.pairing(el, xw)
+            assert fk.pairing(xw, el) == fk.pairing(el, xw)
+            assert (u in chains) == (fk.pairing_bruhat(w, u) == 1)
+            assert (u in chains) == (fk.pairing(el, xw) == 1)
+    s3_words = 1 + 2 * 3 + 2 * 3**2 + 1 * 3**3
+    s4_words = 1 + 3 * 6 + 5 * 6**2 + 6 * 6**3 + 5 * 6**4
+    assert words == s3_words + s4_words
+
+
+def test_delta_walk_on_an_inhomogeneous_element():
+    b = fk.FKElement.parse("x(1,2)x(2,3)x(1,2) - 2*x(1,3)", 3)
+    letters = [(1, 2), (1, 3), (2, 3)]
+    assert fk.delta_walk(b, letters, 0) == {(): b}
+    assert fk.delta_walk(fk.FKElement.zero(3), letters, 0) == {}
+    assert fk.delta_walk(b, letters, 4) == {}
+    for depth in (1, 2):
+        walk = fk.delta_walk(b, letters, depth)
+        for u in itertools.product(letters, repeat=depth):
+            assert walk.get(u, fk.FKElement.zero(3)) == fk.delta_op(u, b)
+
+
+def test_tensor_parse_errors_carry_positions():
+    for bad in ("", "x(1,2)", "x(1,2) (x)", "x(1,2) (x) 1 x(1,3)", "x(1,4) (x) 1"):
+        with pytest.raises(fk.ParseError) as info:
+            fk.FKTensor.parse(bad, 3)
+        assert isinstance(info.value.position, int)
+    t = fk.FKTensor.parse("2*1 (x) 1 - x(1,2) (x) x(2,3)", 3)
+    assert str(t) == "-x(1,2) (x) x(2,3) + 2*1 (x) 1"

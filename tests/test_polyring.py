@@ -10,6 +10,7 @@ from skewdd import symgroup as sg
 from conftest import (
     bjs_schubert,
     brute_reduced_words,
+    per_set_skew_direct_apply,
     right_descents,
     synthetic_divided_difference,
 )
@@ -248,3 +249,65 @@ def test_random_poly_is_deterministic():
     a = pr.random_poly(random.Random(23), 3)
     b = pr.random_poly(random.Random(23), 3)
     assert a == b and a.terms
+
+
+def _seeded_poly(rng, n, degree, terms):
+    """A nonzero sum of ``terms`` random monomials of degree <= ``degree``."""
+    out = {}
+    for _ in range(terms):
+        e = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(n)] += 1
+        out[tuple(e)] = out.get(tuple(e), 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+    p = pr.Poly(n, out)
+    assert len(p.terms) > 1
+    return p
+
+
+def _images_match_oracle(w, perms, p, word=None):
+    images = pr.skew_direct_images(w, p, word)
+    assert all(not image.is_zero() for image in images.values())
+    for v in perms:
+        want = per_set_skew_direct_apply(w, v, p, word)
+        assert images.get(v, pr.Poly.zero(p.n)) == want
+        assert pr.skew_direct_apply(w, v, p, word) == want
+    return sum(sg.bruhat_leq(v, w) for v in perms)
+
+
+def test_skew_direct_images_match_the_per_set_oracle(s4):
+    rng = random.Random(29)
+    for _ in range(3):
+        p = _seeded_poly(rng, 4, 6, 5)
+        assert sum(_images_match_oracle(w, s4, p) for w in s4) == 213
+
+
+def test_skew_direct_images_on_sampled_s5():
+    rng = random.Random(31)
+    s5 = sg.all_permutations(5)
+    for w in rng.sample(s5, 8):
+        _images_match_oracle(w, s5, _seeded_poly(rng, 5, 7, 4))
+
+
+def test_skew_direct_images_along_every_reduced_word(s4):
+    rng = random.Random(37)
+    p = _seeded_poly(rng, 4, 5, 4)
+    for w in ((3, 4, 1, 2), (4, 3, 2, 1), (2, 4, 3, 1)):
+        for word in brute_reduced_words(w, 4):
+            _images_match_oracle(w, s4, p, word)
+    with pytest.raises(ValueError):
+        pr.skew_direct_images((2, 3, 1), p, word=(2, 1))
+
+
+def test_skew_direct_images_when_d_kills_early(s4):
+    # symmetric P: every d_a kills it, so only the all-swap leaf v = w is left
+    e1 = pr.Poly.parse("x1 + x2 + x3 + x4", 4)
+    for w in s4:
+        assert pr.skew_direct_images(w, e1) == {w: e1}
+        _images_match_oracle(w, s4, e1)
+    assert pr.skew_direct_images((4, 3, 2, 1), pr.Poly.zero(4)) == {}
+    # degree 1: only v one step below w, or w itself, can survive
+    x1 = pr.Poly.parse("x1", 4)
+    for w in s4:
+        lw = sg.length(w)
+        assert all(lw - sg.length(v) <= 1 for v in pr.skew_direct_images(w, x1))
+        _images_match_oracle(w, s4, x1)
