@@ -5,6 +5,9 @@ Submodules:
 
 - ``symgroup``: symmetric-group combinatorics (words, Bruhat order,
   reflection orderings, reduced subword enumeration).
+- ``terms``: the sparse-term container shared by polynomials, braided
+  algebra elements and tensors: window, arithmetic, equality, hash and
+  the JSON string form.
 - ``polyring``: sparse integer polynomials, the variable-permuting action,
   divided differences, Schubert polynomials, and the direct skew action.
 - ``fkalg``: the free-algebra model of the quadratic algebra on generators
@@ -20,4 +23,4 @@ Submodules:
 
 __version__ = "0.1.0"
 
-__all__ = ["symgroup", "polyring", "fkalg", "fkcanon", "skew", "verify", "cli"]
+__all__ = ["symgroup", "terms", "polyring", "fkalg", "fkcanon", "skew", "verify", "cli"]

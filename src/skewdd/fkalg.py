@@ -18,11 +18,11 @@ x(1,2)x(2,3)x(1,2)x(2,3)
 
 from __future__ import annotations
 
-import json
 import re
 
 from . import symgroup
 from .symgroup import Perm
+from .terms import Terms
 
 __all__ = [
     "Letter",
@@ -91,8 +91,8 @@ def canonical_word(letters) -> tuple[FKWord | None, int]:
     return tuple(out), sign
 
 
-class _Terms:
-    """Integer combination of keys with one text form and one JSON form.
+class _Terms(Terms):
+    """The one text form and one JSON form of FK elements and tensors.
 
     FKElement keys terms on a word, FKTensor on a word pair.  A subclass
     names the JSON field of each word of a key in ``_FIELDS`` and orders
@@ -100,7 +100,7 @@ class _Terms:
     words joined by " (x) ".
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
     _FIELDS: tuple[str, ...] = ()
     _NOUN = ""
 
@@ -111,30 +111,10 @@ class _Terms:
     def _words(self, key) -> tuple:
         return (key,) if len(self._FIELDS) == 1 else key
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        out = type(self)(max(self.n, other.n))
-        out.terms = {k: c for k, c in terms.items() if c}
-        return out
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: int):
-        out = type(self)(self.n)
-        if other:
-            out.terms = {k: c * other for k, c in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
+    @classmethod
+    def _one_key(cls, n: int):
+        # the constant is the empty word in every factor
+        return cls._key(((),) * len(cls._FIELDS))
 
     def __str__(self) -> str:
         out = ""
@@ -151,9 +131,6 @@ class _Terms:
             else:
                 out = ("-" if c < 0 else "") + chunk
         return out or "0"
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.n}, {self.terms!r})"
 
     def to_json_dict(self) -> dict:
         terms = []
@@ -174,13 +151,6 @@ class _Terms:
             for t in data["terms"]
         ]
         return cls(int(data["n"]), terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_json_dict(json.loads(text))
 
     @classmethod
     def parse(cls, text: str, n: int):
@@ -258,25 +228,8 @@ class FKElement(_Terms):
             self.terms = {w: c for w, c in self.terms.items() if c}
 
     @classmethod
-    def zero(cls, n: int) -> "FKElement":
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> "FKElement":
-        return cls(n, {(): 1})
-
-    @classmethod
     def from_word(cls, word, n: int, coeff: int = 1) -> "FKElement":
         return cls(n, {tuple(tuple(g) for g in word): coeff})
-
-    def extend(self, n: int) -> "FKElement":
-        if n < self.n:
-            raise ValueError(f"cannot shrink window {self.n} to {n}")
-        if n == self.n:
-            return self
-        out = FKElement(n)
-        out.terms = dict(self.terms)
-        return out
 
     def degree(self) -> int:
         """Maximal word length, -1 for zero."""
@@ -304,22 +257,8 @@ class FKElement(_Terms):
         """Nonzero with every stored coefficient positive."""
         return bool(self.terms) and all(c > 0 for c in self.terms.values())
 
-    def _common(self, other: "FKElement") -> tuple["FKElement", "FKElement"]:
-        n = max(self.n, other.n)
-        return self.extend(n), other.extend(n)
-
-    def __add__(self, other) -> "FKElement":
-        if isinstance(other, int):
-            other = FKElement(self.n, {(): other})
-        return super().__add__(other)
-
-    __radd__ = __add__
-
-    def __rsub__(self, other) -> "FKElement":
-        return (-self) + other
-
     def __mul__(self, other) -> "FKElement":
-        if isinstance(other, int):
+        if not isinstance(other, FKElement):
             return super().__mul__(other)
         a, b = self._common(other)
         terms: dict[FKWord, int] = {}
@@ -330,22 +269,7 @@ class FKElement(_Terms):
                     continue
                 w = w1 + w2
                 terms[w] = terms.get(w, 0) + c1 * c2
-        out = FKElement(a.n)
-        out.terms = {w: c for w, c in terms.items() if c}
-        return out
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.terms == ({} if other == 0 else {(): other})
-        if not isinstance(other, FKElement):
-            return NotImplemented
-        a, b = self._common(other)
-        return a.terms == b.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return FKElement._of(a.n, terms)
 
     def sorted_terms(self) -> list[tuple[FKWord, int]]:
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
@@ -457,12 +381,11 @@ def act(w: Perm, A: FKElement) -> FKElement:
     """
     n = max(len(w), A.n)
     w = symgroup.embed(w, n)
-    out = FKElement(n)
+    terms: dict[FKWord, int] = {}
     for word, c in A.terms.items():
         rw, s = relabel_word(word, w)
-        out.terms[rw] = out.terms.get(rw, 0) + s * c
-    out.terms = {k: v for k, v in out.terms.items() if v}
-    return out
+        terms[rw] = terms.get(rw, 0) + s * c
+    return FKElement._of(n, terms)
 
 
 def sn_degree(word, n: int) -> Perm:
@@ -495,27 +418,19 @@ class FKTensor(_Terms):
             self.terms = {k: c for k, c in self.terms.items() if c}
 
     def swap(self) -> "FKTensor":
-        out = FKTensor(self.n)
-        out.terms = {(r, l): c for (l, r), c in self.terms.items()}
-        return out
+        return FKTensor._of(self.n, {(r, l): c for (l, r), c in self.terms.items()})
 
     def map_factors(self, f, g) -> "FKTensor":
         """Apply word -> FKElement maps to the two slots, bilinearly."""
-        out = FKTensor(self.n)
+        terms: dict[tuple[FKWord, FKWord], int] = {}
         for (l, r), c in self.terms.items():
             L: FKElement = f(l)
             R: FKElement = g(r)
             for wl, cl in L.terms.items():
                 for wr, cr in R.terms.items():
                     key = (wl, wr)
-                    out.terms[key] = out.terms.get(key, 0) + c * cl * cr
-        out.terms = {k: c for k, c in out.terms.items() if c}
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FKTensor):
-            return NotImplemented
-        return self.terms == other.terms
+                    terms[key] = terms.get(key, 0) + c * cl * cr
+        return FKTensor._of(self.n, terms)
 
     def sorted_terms(self) -> list[tuple[tuple[FKWord, FKWord], int]]:
         return sorted(self.terms.items(), key=lambda t: (-len(t[0][0]), t[0][0], t[0][1]))
@@ -531,7 +446,7 @@ def coproduct(A: FKElement) -> FKTensor:
     >>> print(coproduct(FKElement.parse("x(1,2)x(2,3)", 3)))
     x(1,2)x(2,3) (x) 1 + x(1,2) (x) x(2,3) + x(2,3) (x) x(1,3) + 1 (x) x(1,2)x(2,3)
     """
-    out = FKTensor(A.n)
+    terms: dict[tuple[FKWord, FKWord], int] = {}
     for word, c in A.terms.items():
         parts: dict[tuple[FKWord, FKWord], int] = {((), ()): c}
         for g in word:
@@ -547,16 +462,15 @@ def coproduct(A: FKElement) -> FKTensor:
                     nxt[key] = nxt.get(key, 0) + cc
             parts = nxt
         for key, cc in parts.items():
-            out.terms[key] = out.terms.get(key, 0) + cc
-    out.terms = {k: c for k, c in out.terms.items() if c}
-    return out
+            terms[key] = terms.get(key, 0) + cc
+    return FKTensor._of(A.n, terms)
 
 
 def _delta_letter(a: int, b: int, A: FKElement) -> FKElement:
     (a, b), s0 = canonical_letter(a, b)
     n = A.n
     t = symgroup.transposition(a, b, n)
-    out = FKElement(n)
+    terms: dict[FKWord, int] = {}
     for word, c in A.terms.items():
         for k, g in enumerate(word):
             if g != (a, b):
@@ -566,20 +480,18 @@ def _delta_letter(a: int, b: int, A: FKElement) -> FKElement:
             if prefix and suffix and prefix[-1] == suffix[0]:
                 continue
             w = prefix + suffix
-            out.terms[w] = out.terms.get(w, 0) + s0 * s1 * c
-    out.terms = {k: v for k, v in out.terms.items() if v}
-    return out
+            terms[w] = terms.get(w, 0) + s0 * s1 * c
+    return FKElement._of(n, terms)
 
 
 def _by_words(P: FKElement, A: FKElement, op) -> FKElement:
     """The sum over the words of P of their coefficient times op(word, A)."""
-    out = FKElement(max(P.n, A.n))
-    A = A.extend(out.n)
+    A = A.extend(max(P.n, A.n))
+    terms: dict[FKWord, int] = {}
     for word, c in P.terms.items():
         for w, cc in op(word, A).terms.items():
-            out.terms[w] = out.terms.get(w, 0) + c * cc
-    out.terms = {k: v for k, v in out.terms.items() if v}
-    return out
+            terms[w] = terms.get(w, 0) + c * cc
+    return FKElement._of(A.n, terms)
 
 
 def delta_op(P, A: FKElement) -> FKElement:
@@ -634,7 +546,7 @@ def delta_walk(B: FKElement, letters, depth: int) -> dict[FKWord, FKElement]:
 def _nabla_letter(A: FKElement, a: int, b: int) -> FKElement:
     (a, b), s0 = canonical_letter(a, b)
     n = A.n
-    out = FKElement(n)
+    terms: dict[FKWord, int] = {}
     for word, c in A.terms.items():
         u = symgroup.identity(n)
         for k in range(len(word) - 1, -1, -1):
@@ -645,10 +557,9 @@ def _nabla_letter(A: FKElement, a: int, b: int) -> FKElement:
                 prefix, suffix = word[:k], word[k + 1:]
                 if not (prefix and suffix and prefix[-1] == suffix[0]):
                     w = prefix + suffix
-                    out.terms[w] = out.terms.get(w, 0) + s0 * s1 * c
+                    terms[w] = terms.get(w, 0) + s0 * s1 * c
             u = symgroup.compose(symgroup.transposition(g[0], g[1], n), u)
-    out.terms = {k: v for k, v in out.terms.items() if v}
-    return out
+    return FKElement._of(n, terms)
 
 
 def nabla_op(A: FKElement, P) -> FKElement:
@@ -750,7 +661,7 @@ def antipode(A: FKElement) -> FKElement:
     -x(3,4)x(2,4)x(1,4)
     """
     n = A.n
-    out = FKElement(n)
+    terms: dict[FKWord, int] = {}
     for word, c in A.terms.items():
         img: FKWord = ()
         sign = 1
@@ -759,9 +670,8 @@ def antipode(A: FKElement) -> FKElement:
             rel, s = relabel_word(img, t)
             img = (g,) + rel
             sign = -sign * s
-        out.terms[img] = out.terms.get(img, 0) + sign * c
-    out.terms = {k: v for k, v in out.terms.items() if v}
-    return out
+        terms[img] = terms.get(img, 0) + sign * c
+    return FKElement._of(n, terms)
 
 
 def sbar_word(word, n: int) -> tuple[FKWord, int]:
@@ -791,15 +701,14 @@ def sbar(A: FKElement) -> FKElement:
     >>> print(sbar(FKElement.parse("x(1,2)x(2,3)x(1,2)", 3)))
     x(2,3)x(1,3)x(1,2)
     """
-    out = FKElement(A.n)
+    terms: dict[FKWord, int] = {}
     for word, c in A.terms.items():
         w, s = sbar_word(word, A.n)
         cw, s2 = canonical_word(w)
         if cw is None:
             continue
-        out.terms[cw] = out.terms.get(cw, 0) + s * s2 * c
-    out.terms = {k: v for k, v in out.terms.items() if v}
-    return out
+        terms[cw] = terms.get(cw, 0) + s * s2 * c
+    return FKElement._of(A.n, terms)
 
 
 def reverse_element(A: FKElement) -> FKElement:
@@ -808,11 +717,10 @@ def reverse_element(A: FKElement) -> FKElement:
     >>> print(reverse_element(FKElement.parse("x(1,2)x(2,3)", 3)))
     x(2,3)x(1,2)
     """
-    out = FKElement(A.n)
+    terms: dict[FKWord, int] = {}
     for word, c in A.terms.items():
-        out.terms[word[::-1]] = out.terms.get(word[::-1], 0) + c
-    out.terms = {k: v for k, v in out.terms.items() if v}
-    return out
+        terms[word[::-1]] = terms.get(word[::-1], 0) + c
+    return FKElement._of(A.n, terms)
 
 
 def nilcoxeter_word(w: Perm) -> FKWord:

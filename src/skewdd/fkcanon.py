@@ -296,7 +296,7 @@ def canonical_form(
     >>> canonical_form(x12 * x23 - x23 * x13 - x13 * x12).is_zero()
     True
     """
-    out = FKElement(A.n)
+    terms: dict[FKWord, int] = {}
     for d, comp in A.degree_components().items():
         win = _get_window(A.n, d, max_window, max_degree)
         for w, val in win.reduce(comp).items():
@@ -305,8 +305,8 @@ def canonical_form(
                     "canonical form left the integer lattice; "
                     f"a pivot exceeds 1 at window {A.n} degree {d}"
                 )
-            out.terms[w] = int(val)
-    return out
+            terms[w] = int(val)
+    return FKElement._of(A.n, terms)
 
 
 def fk_equal(

@@ -19,11 +19,11 @@ x1*x2
 
 from __future__ import annotations
 
-import json
 import re
 
 from . import symgroup
 from .symgroup import Perm, Word
+from .terms import Terms
 
 __all__ = [
     "Poly",
@@ -41,7 +41,7 @@ __all__ = [
 Exponent = tuple[int, ...]
 
 
-class Poly:
+class Poly(Terms):
     """An integer polynomial in variables x1..xn, stored sparsely.
 
     >>> P = Poly.parse("3*x1^2*x2 - x3", 3)
@@ -51,7 +51,7 @@ class Poly:
     3*x1^2*x2
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: dict[Exponent, int] | None = None):
         self.n = n
@@ -65,14 +65,6 @@ class Poly:
             self.terms = {e: c for e, c in self.terms.items() if c}
 
     @classmethod
-    def zero(cls, n: int) -> "Poly":
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> "Poly":
-        return cls(n, {(0,) * n: 1})
-
-    @classmethod
     def variable(cls, i: int, n: int) -> "Poly":
         if not (1 <= i <= n):
             raise ValueError(f"variable index {i} out of range for n={n}")
@@ -84,17 +76,13 @@ class Poly:
     def monomial(cls, exponent, n: int, coeff: int = 1) -> "Poly":
         return cls(n, {tuple(exponent): coeff})
 
-    def extend(self, n: int) -> "Poly":
-        """Reinterpret in a larger variable window."""
-        if n < self.n:
-            raise ValueError(f"cannot shrink window {self.n} to {n}")
-        if n == self.n:
-            return self
-        pad = (0,) * (n - self.n)
-        return Poly(n, {e + pad: c for e, c in self.terms.items()})
+    @staticmethod
+    def _one_key(n: int) -> Exponent:
+        return (0,) * n
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _pad(e: Exponent, n: int) -> Exponent:
+        return e + (0,) * (n - len(e))
 
     def degree(self) -> int:
         """Total degree, -1 for the zero polynomial."""
@@ -102,61 +90,19 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.n, 0)
-
     def coefficient(self, exponent) -> int:
         return self.terms.get(tuple(exponent), 0)
 
-    def _common(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        n = max(self.n, other.n)
-        return self.extend(n), other.extend(n)
-
-    def __add__(self, other) -> "Poly":
-        if isinstance(other, int):
-            other = Poly(self.n, {(0,) * self.n: other})
-        a, b = self._common(other)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return Poly(a.n, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Poly":
-        if isinstance(other, int):
-            other = Poly(self.n, {(0,) * self.n: other})
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
-
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, int):
-            return Poly(self.n, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, Poly):
+            return super().__mul__(other)
         a, b = self._common(other)
         terms: dict[Exponent, int] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly(a.n, terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.terms == ({} if other == 0 else {(0,) * self.n: other})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self._common(other)
-        return a.terms == b.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return Poly._of(a.n, terms)
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         """Terms in graded-lex descending order (highest degree first)."""
@@ -186,9 +132,6 @@ class Poly:
         for sign, body in parts[1:]:
             out += f" {sign} {body}"
         return out
-
-    def __repr__(self) -> str:
-        return f"Poly({self.n}, {self.terms!r})"
 
     _TERM_RE = re.compile(r"^([+-]?\d+)?((?:\*?x\d+(?:\^\d+)?)*)$")
     _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
@@ -247,13 +190,6 @@ class Poly:
             terms[e] = terms.get(e, 0) + int(t["coeff"])
         return cls(n, terms)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Poly":
-        return cls.from_json_dict(json.loads(text))
-
 
 def act(w: Perm, P: Poly) -> Poly:
     """Apply the variable substitution x_i -> x_{w(i)}.
@@ -271,7 +207,7 @@ def act(w: Perm, P: Poly) -> Poly:
             out[w[k] - 1] = e[k]
         key = tuple(out)
         terms[key] = terms.get(key, 0) + c
-    return Poly(n, terms)
+    return Poly._of(n, terms)
 
 
 def divided_difference(i: int, j: int, P: Poly) -> Poly:
@@ -309,10 +245,7 @@ def divided_difference(i: int, j: int, P: Poly) -> Poly:
             q[i - 1], q[j - 1] = a - 1 - k, b + k
             key = tuple(q)
             terms[key] = terms.get(key, 0) + c
-    # every exponent here has arity n by construction, so skip Poly's checks
-    out = Poly(n)
-    out.terms = {e: c for e, c in terms.items() if c}
-    return out
+    return Poly._of(n, terms)
 
 
 def del_word(word: Word, P: Poly, n: int | None = None) -> Poly:

@@ -48,29 +48,20 @@ def _window(w: Perm, v: Perm) -> tuple[Perm, Perm, int]:
 
 def reduced_word_to_longest(v: Perm, n: int) -> Word:
     """A reduced word for w0 * v built by repeatedly removing the smallest
-    ascent of v; the letter n - i witnesses one step up toward the longest
-    element.  This choice lines the explicit route up with the recurrence.
+    ascent i of v (v <- s_i * v); the letter n - i witnesses one step up
+    toward the longest element.  This choice lines the explicit route up
+    with the recurrence.
+
+    The left ascents of v are the left descents of v * w0, so the ascents
+    taken are the letters of the lex-least reduced word of v * w0.
 
     >>> reduced_word_to_longest(symgroup.simple(2, 4), 4)
     (3, 2, 1, 2, 3)
     >>> reduced_word_to_longest(symgroup.longest_element(3), 3)
     ()
     """
-    v = symgroup.embed(v, n)
-    pos = symgroup.inverse(v)
-    word = []
-    while True:
-        for i in range(1, n):
-            if pos[i - 1] < pos[i]:
-                break
-        else:
-            return tuple(word)
-        word.append(n - i)
-        a, b = pos[i - 1], pos[i]
-        v = list(v)
-        v[a - 1], v[b - 1] = v[b - 1], v[a - 1]
-        v = tuple(v)
-        pos = symgroup.inverse(v)
+    v_w0 = symgroup.compose(symgroup.embed(v, n), symgroup.longest_element(n))
+    return tuple(n - i for i in symgroup.canonical_reduced_word(v_w0))
 
 
 def skew_signed(w: Perm, v: Perm) -> FKElement:
@@ -168,10 +159,9 @@ def skew_recurrence(w: Perm, v: Perm) -> FKElement:
     x(2,3)
     """
     w, v, n = _window(w, v)
-    # the memo hands out one shared element per pair; give each caller its own
-    out = FKElement(n)
-    out.terms = dict(_recurrence(w, v, n).terms)
-    return out
+    # the memo hands out one shared element per pair; _of gives each caller
+    # its own copy of the terms
+    return FKElement._of(n, _recurrence(w, v, n).terms)
 
 
 def compute_skew(w: Perm, v: Perm, method: str) -> FKElement:

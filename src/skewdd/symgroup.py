@@ -156,31 +156,29 @@ def left_descents(w: Perm) -> list[int]:
     return [i for i in range(1, len(w)) if pos[i - 1] > pos[i]]
 
 
-def _mult_left_simple(i: int, w: Perm) -> Perm:
-    # one-line of s_i * w: exchange the values i and i+1 wherever they sit
-    out = list(w)
-    pos = inverse(w)
-    a, b = pos[i - 1], pos[i]
-    out[a - 1], out[b - 1] = out[b - 1], out[a - 1]
-    return tuple(out)
-
-
 def canonical_reduced_word(w: Perm) -> Word:
     """The lexicographically smallest reduced word for w.
 
-    Greedy: repeatedly strip the smallest left descent.
+    Greedy: repeatedly strip the smallest left descent i, where the value
+    i + 1 stands left of i.  s_i * w swaps those two values, so one pass
+    swaps entries of the inverse in place.  Before the swap at i there is
+    no descent below i, and after it none below i - 1, so the scan for the
+    next one resumes there.
 
     >>> canonical_reduced_word((3, 4, 1, 2))
     (2, 1, 3, 2)
     """
+    pos = list(inverse(w))
     word = []
-    while True:
-        ds = left_descents(w)
-        if not ds:
-            return tuple(word)
-        i = ds[0]
-        word.append(i)
-        w = _mult_left_simple(i, w)
+    i = 1
+    while i < len(pos):
+        if pos[i - 1] > pos[i]:
+            word.append(i)
+            pos[i - 1], pos[i] = pos[i], pos[i - 1]
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return tuple(word)
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +192,9 @@ def all_reduced_words(w: Perm) -> tuple[Word, ...]:
         return ((),)
     out = []
     for i in left_descents(w):
-        for rest in all_reduced_words(_mult_left_simple(i, w)):
+        # s_i * w swaps the values i and i + 1
+        u = tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
+        for rest in all_reduced_words(u):
             out.append((i,) + rest)
     return tuple(out)
 

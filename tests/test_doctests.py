@@ -4,11 +4,11 @@ import doctest
 
 import pytest
 
-from skewdd import cli, fkalg, fkcanon, polyring, skew, symgroup, verify
+from skewdd import cli, fkalg, fkcanon, polyring, skew, symgroup, terms, verify
 
 
 @pytest.mark.parametrize(
-    "module", [symgroup, polyring, fkalg, fkcanon, skew, verify, cli],
+    "module", [symgroup, terms, polyring, fkalg, fkcanon, skew, verify, cli],
     ids=lambda m: m.__name__.rsplit(".", 1)[-1],
 )
 def test_module_doctests(module):
