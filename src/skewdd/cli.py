@@ -133,9 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equal", nargs=2, metavar=("A", "B"), default=None,
                    help="test equality of two expressions modulo the relations")
     p.add_argument("--max-degree", type=int, default=None,
-                   help="override the canonical-form degree cap (default: 6)")
+                   help="override the canonical-form degree cap"
+                        f" (default: {fkcanon.DEFAULT_MAX_DEGREE})")
     p.add_argument("--limit-n", type=int, default=None,
-                   help="override the canonical-form window cap (default: 4)")
+                   help="override the canonical-form window cap"
+                        f" (default: {fkcanon.DEFAULT_MAX_WINDOW})")
     _format_flag(p)
     p.set_defaults(func=_cmd_canon)
 

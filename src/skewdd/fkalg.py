@@ -111,6 +111,31 @@ class _Terms(Terms):
     def _words(self, key) -> tuple:
         return (key,) if len(self._FIELDS) == 1 else key
 
+    def __init__(self, n: int, terms=None):
+        """Orient every letter, folding the signs into the coefficient, and
+        drop a key when one of its words has two equal adjacent letters; a
+        letter outside window n raises ValueError."""
+        self.n = n
+        acc: dict = {}
+        items = terms.items() if isinstance(terms, dict) else (terms or ())
+        for key, c in items:
+            if not c:
+                continue
+            words = []
+            for word in self._words(key):
+                w, s = canonical_word(word)
+                if w is None:
+                    break
+                for a, b in w:
+                    if not (1 <= a and b <= n):
+                        raise ValueError(f"letter ({a},{b}) outside window {n}")
+                words.append(w)
+                c *= s
+            else:
+                key = self._key(words)
+                acc[key] = acc.get(key, 0) + c
+        self.terms = {k: c for k, c in acc.items() if c}
+
     @classmethod
     def _one_key(cls, n: int):
         # the constant is the empty word in every factor
@@ -209,23 +234,6 @@ class FKElement(_Terms):
     __slots__ = ()
     _FIELDS = ("word",)
     _NOUN = "element"
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms: dict[FKWord, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for word, c in items:
-                if not c:
-                    continue
-                w, s = canonical_word(word)
-                if w is None:
-                    continue
-                for a, b in w:
-                    if not (1 <= a and b <= n):
-                        raise ValueError(f"letter ({a},{b}) outside window {n}")
-                self.terms[w] = self.terms.get(w, 0) + s * c
-            self.terms = {w: c for w, c in self.terms.items() if c}
 
     @classmethod
     def from_word(cls, word, n: int, coeff: int = 1) -> "FKElement":
@@ -401,21 +409,19 @@ def sn_degree(word, n: int) -> Perm:
 
 
 class FKTensor(_Terms):
-    """Integer combination of ordered word pairs (coproduct values)."""
+    """Integer combination of ordered word pairs (coproduct values).
+
+    Construction treats each factor as ``FKElement`` treats its word:
+
+    >>> print(FKTensor(3, {(((2, 1),), ()): 1}))
+    -x(1,2) (x) 1
+    >>> print(FKTensor(3, {(((1, 2), (1, 2)), ()): 1}))
+    0
+    """
 
     __slots__ = ()
     _FIELDS = ("left", "right")
     _NOUN = "tensor"
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms: dict[tuple[FKWord, FKWord], int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                if c:
-                    self.terms[key] = self.terms.get(key, 0) + c
-            self.terms = {k: c for k, c in self.terms.items() if c}
 
     def swap(self) -> "FKTensor":
         return FKTensor._of(self.n, {(r, l): c for (l, r), c in self.terms.items()})
@@ -681,17 +687,23 @@ def sbar_word(word, n: int) -> tuple[FKWord, int]:
     >>> sbar_word(((1, 2), (2, 3), (3, 4)), 4)
     (((1, 4), (2, 4), (3, 4)), 1)
     """
-    word = tuple(tuple(g) for g in word)
-    u = symgroup.identity(n)
+    # u is the product of the transpositions of the letters read so far,
+    # which are the later ones; each letter swaps two entries of u in place
+    u = list(range(1, n + 1))
     out: list[Letter] = []
     sign = 1
-    for k in range(len(word) - 1, -1, -1):
-        a, b = word[k]
-        g, s = canonical_letter(u[a - 1], u[b - 1])
-        out.append(g)
-        sign *= s
-        u = symgroup.compose(u, symgroup.transposition(a, b, n))
-    return tuple(reversed(out)), sign
+    for a, b in reversed(tuple(word)):
+        if not (1 <= a <= n and 1 <= b <= n and a != b):
+            raise ValueError(f"invalid transposition ({a},{b}) in window {n}")
+        p, q = u[a - 1], u[b - 1]
+        if p < q:
+            out.append((p, q))
+        else:
+            out.append((q, p))
+            sign = -sign
+        u[a - 1], u[b - 1] = q, p
+    out.reverse()
+    return tuple(out), sign
 
 
 def sbar(A: FKElement) -> FKElement:
@@ -736,7 +748,8 @@ def nilcoxeter_element(w: Perm, n: int | None = None) -> FKElement:
     """``nilcoxeter_word`` as an element of window n (default: len(w))."""
     if n is None:
         n = len(w)
-    return FKElement.from_word(nilcoxeter_word(symgroup.embed(w, n)), n)
+    # a reduced word has oriented letters and no equal neighbours
+    return FKElement._of(n, {nilcoxeter_word(symgroup.embed(w, n)): 1})
 
 
 def random_word(rng, n: int, degree: int) -> FKWord:

@@ -45,8 +45,8 @@ __all__ = [
     "clear_cache",
 ]
 
-DEFAULT_MAX_WINDOW = 4
-DEFAULT_MAX_DEGREE = 6
+DEFAULT_MAX_WINDOW = 5
+DEFAULT_MAX_DEGREE = 7
 
 
 class ResourceLimitError(ValueError):

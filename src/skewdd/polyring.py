@@ -61,6 +61,8 @@ class Poly(Terms):
                 if c:
                     if len(e) != n:
                         raise ValueError(f"exponent {e} has wrong arity for n={n}")
+                    if min(e, default=0) < 0:
+                        raise ValueError(f"exponent {e} has a negative entry")
                     self.terms[tuple(e)] = self.terms.get(tuple(e), 0) + c
             self.terms = {e: c for e, c in self.terms.items() if c}
 

@@ -69,6 +69,14 @@ def skew_signed(w: Perm, v: Perm) -> FKElement:
     string the swaps migrate left, conjugating the remaining difference
     letters, and cancel against the final inverse of v.
 
+    Letters are oriented inline, the sign going into the coefficient.  Two
+    kept letters with only swaps between them never coincide: that would
+    make the factor of the reduced word from one to the other non-reduced.
+    So every word is clean and the terms need no revalidation.  The Bruhat
+    pre-test stays although ``reduced_subwords`` finds no set for v outside
+    the order: it costs a few insertions, and it spares the subword search
+    on the incomparable pairs that the positivity checks feed in.
+
     >>> print(skew_signed((2, 3, 1), (2, 3, 1)))
     1
     >>> print(skew_signed(symgroup.simple(1, 3), symgroup.simple(2, 3)))
@@ -78,20 +86,26 @@ def skew_signed(w: Perm, v: Perm) -> FKElement:
     if not symgroup.bruhat_leq(v, w):
         return FKElement.zero(n)
     word = symgroup.canonical_reduced_word(w)
-    total = FKElement.zero(n)
+    terms = {}
     for J in symgroup.reduced_subwords(word, v, n):
         Jset = set(J)
         vinv = list(range(1, n + 1))
         letters = []
+        sign = 1
         for j in range(len(word), 0, -1):
             i = word[j - 1]
             if j in Jset:
                 # vinv * s_i
                 vinv[i - 1], vinv[i] = vinv[i], vinv[i - 1]
-            else:
-                letters.append((vinv[i - 1], vinv[i]))
-        total = total + FKElement.from_word(tuple(reversed(letters)), n)
-    return total
+                continue
+            a, b = vinv[i - 1], vinv[i]
+            if a > b:
+                a, b = b, a
+                sign = -sign
+            letters.append((a, b))
+        key = tuple(reversed(letters))
+        terms[key] = terms.get(key, 0) + sign
+    return FKElement._of(n, terms)
 
 
 def skew_pairing(w: Perm, v: Perm) -> FKElement:
@@ -102,7 +116,7 @@ def skew_pairing(w: Perm, v: Perm) -> FKElement:
     """
     w, v, n = _window(w, v)
     return fkalg.delta_op(
-        fkalg.nilcoxeter_element(symgroup.inverse(v), n),
+        fkalg.nilcoxeter_word(symgroup.inverse(v)),
         fkalg.nilcoxeter_element(w, n),
     )
 
@@ -111,6 +125,13 @@ def skew_explicit(w: Perm, v: Perm) -> FKElement:
     """Positive expansion: walk the ascent-rule word for w0 * v, form its
     conjugated letters, and for every embedded reduced word of w0 * w keep
     the complementary letters.
+
+    ``sbar_word`` orients the letters.  They are the reflections of a
+    reduced word, so no two are equal and each position set keeps a
+    distinct clean word; the terms need no revalidation.  The Bruhat
+    pre-test stays: without it every incomparable pair would pay for the
+    ascent-rule word, its letters and a fruitless subword search, and the
+    positivity checks feed in many such pairs.
 
     >>> print(skew_explicit((2, 3, 1), symgroup.simple(1, 3)))
     x(2,3)
@@ -123,12 +144,12 @@ def skew_explicit(w: Perm, v: Perm) -> FKElement:
     word = reduced_word_to_longest(v, n)
     letters, sign = fkalg.sbar_word(tuple((i, i + 1) for i in word), n)
     target = symgroup.compose(symgroup.longest_element(n), w)
-    total = FKElement.zero(n)
+    terms = {}
     for J in symgroup.reduced_subwords(word, target, n):
         Jset = set(J)
         kept = tuple(letters[k] for k in range(len(word)) if k + 1 not in Jset)
-        total = total + FKElement.from_word(kept, n, sign)
-    return total
+        terms[kept] = sign
+    return FKElement._of(n, terms)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,9 @@ raw word basis (adjacent duplicates included), the two-sided relation
 products over clean words, synthetic division for divided differences,
 skew operators applied one position set at a time, the compatible-sequence
 expansion of Schubert polynomials, direct basis expansion of products,
-and q-integer products for Hilbert series. Tests compare library output
+q-integer products for Hilbert series, pairwise inversion counts, Bruhat
+comparison by re-sorted prefixes, and the conjugate antipode by composing
+transpositions. Tests compare library output
 against these. It also holds tensor helpers that only tests use.
 """
 
@@ -20,7 +22,7 @@ from functools import lru_cache
 import pytest
 
 from skewdd import fkcanon, polyring, symgroup
-from skewdd.fkalg import FKElement, FKTensor
+from skewdd.fkalg import FKElement, FKTensor, canonical_letter
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +60,38 @@ def bruhat_oracle(v, w, n):
     """Subword criterion: some reduced word of v sits inside one of w."""
     target = symgroup.canonical_reduced_word(w)
     return any(is_subsequence(rv, target) for rv in brute_reduced_words(v, n))
+
+
+def brute_length(w):
+    """The number of inversions, one pair of positions at a time."""
+    return sum(1 for i, j in itertools.combinations(range(len(w)), 2) if w[i] > w[j])
+
+
+def prefix_bruhat_oracle(v, w):
+    """Tableau criterion with every prefix sorted afresh, behind a length
+    test: the form the comparison took before it grew its prefixes by
+    insertion."""
+    v, w = symgroup.common_window(v, w)
+    if brute_length(v) > brute_length(w):
+        return False
+    for k in range(1, len(w)):
+        if any(a > b for a, b in zip(sorted(v[:k]), sorted(w[:k]))):
+            return False
+    return True
+
+
+def compose_sbar_word(word, n):
+    """``sbar_word`` by its definition: letter k relabelled by the product,
+    built with ``compose``, of the transpositions of the later letters."""
+    u = symgroup.identity(n)
+    out = []
+    sign = 1
+    for a, b in reversed(word):
+        g, s = canonical_letter(u[a - 1], u[b - 1])
+        out.append(g)
+        sign *= s
+        u = symgroup.compose(u, symgroup.transposition(a, b, n))
+    return tuple(reversed(out)), sign
 
 
 def _raw_words(n, d):

@@ -224,14 +224,14 @@ def test_canon_needs_a_mode(capsys):
 
 
 def test_canon_resource_refusal(capsys):
-    code, _, err = run_cli(capsys, "canon", "--n", "5", "--dim", "2")
+    code, _, err = run_cli(capsys, "canon", "--n", "6", "--dim", "2")
     assert code == 1
     assert "exceeds limits" in err
     code, out, _ = run_cli(
-        capsys, "canon", "--n", "5", "--dim", "1", "--limit-n", "5"
+        capsys, "canon", "--n", "6", "--dim", "1", "--limit-n", "6"
     )
     assert code == 0
-    assert out == "10\n"
+    assert out == "15\n"
 
 
 def test_canon_negative_degree_is_exit_1(capsys):

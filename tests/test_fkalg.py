@@ -3,13 +3,14 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
 from skewdd import fkalg as fk
 from skewdd import symgroup as sg
 
-from conftest import left_component, simple_tensor
+from conftest import compose_sbar_word, left_component, simple_tensor
 
 
 def test_canonical_letter_and_word():
@@ -191,6 +192,20 @@ def test_tensor_behaviour():
     assert left_component(t, ((1, 2),)) == b
 
 
+def test_tensor_constructor_orients_and_validates():
+    x12 = fk.FKTensor.parse("x(1,2) (x) 1", 3)
+    assert fk.FKTensor.parse("x(2,1) (x) 1", 3) == -1 * x12
+    assert fk.FKTensor(3, {((), ((3, 2), (2, 1))): 1}) == fk.FKTensor.parse(
+        "1 (x) x(2,3)x(1,2)", 3
+    )
+    # a word with equal adjacent letters is zero in either factor
+    assert fk.FKTensor(3, {(((1, 2), (2, 1)), ()): 1}).is_zero()
+    assert fk.FKTensor(3, {((), ((1, 3), (1, 3))): 1}).is_zero()
+    bad = '{"n":2,"terms":[{"coeff":1,"left":[[1,7]],"right":[]}]}'
+    with pytest.raises(ValueError):
+        fk.FKTensor.from_json(bad)
+
+
 def test_delta_and_nabla_worked_examples():
     a = fk.FKElement.parse("x(1,2)x(2,3)x(1,2)", 3)
     assert fk.delta_op(((2, 3),), a) == fk.FKElement.parse("x(1,3)x(1,2)", 3)
@@ -232,6 +247,23 @@ def test_sbar_word_signs():
     # degree-2 consistency with the element-level map
     a = fk.FKElement.from_word(((2, 3), (1, 2)), 3)
     assert fk.sbar(a) == fk.FKElement(3, {word: sign})
+
+
+def test_sbar_word_matches_compose_oracle():
+    rng = random.Random(12)
+    for _ in range(400):
+        n = rng.randrange(2, 7)
+        word = tuple(
+            tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randrange(0, 9))
+        )
+        assert fk.sbar_word(word, n) == compose_sbar_word(word, n)
+
+
+@pytest.mark.parametrize("letter", [(1, 1), (0, 2), (1, 4)])
+def test_sbar_word_rejects_an_invalid_letter(letter):
+    a, b = letter
+    with pytest.raises(ValueError, match=re.escape(f"invalid transposition ({a},{b}) in window 3")):
+        fk.sbar_word(((1, 2), letter, (2, 3)), 3)
 
 
 def test_reverse_element_is_an_involution():

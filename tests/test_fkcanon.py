@@ -115,13 +115,13 @@ def test_canonical_form_separates_classes():
 
 def test_resource_limits():
     with pytest.raises(fc.ResourceLimitError):
-        fc.graded_dimension(5, 2)
+        fc.graded_dimension(6, 2)
     with pytest.raises(fc.ResourceLimitError):
-        fc.graded_dimension(4, 7)
+        fc.graded_dimension(4, 8)
     # the error is a ValueError so CLI maps it to a domain failure
     assert issubclass(fc.ResourceLimitError, ValueError)
     # overrides unlock larger windows; degree 1 stays cheap
-    assert fc.graded_dimension(5, 1, max_window=5) == 10
+    assert fc.graded_dimension(6, 1, max_window=6) == 15
 
 
 def test_concurrent_builds_agree():

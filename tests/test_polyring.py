@@ -65,6 +65,14 @@ def test_json_round_trip():
     assert pr.Poly.from_json_dict(p.to_json_dict()) == p
 
 
+def test_negative_exponents_are_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        pr.Poly(2, {(-1, 0): 1})
+    bad = '{"n":2,"terms":[{"coeff":1,"exponents":[-1,0]}]}'
+    with pytest.raises(ValueError, match="negative"):
+        pr.Poly.from_json(bad)
+
+
 def test_act_is_a_group_action():
     rng = random.Random(5)
     perms = sg.all_permutations(3)

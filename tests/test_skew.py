@@ -1,5 +1,6 @@
 """Skew expressions: the four methods and structure constants."""
 
+import hashlib
 import random
 
 import pytest
@@ -42,6 +43,33 @@ def test_worked_example_explicit_and_recurrence():
     assert sk.skew_explicit(w, v) == want
     assert sk.skew_recurrence(w, v) == want
     assert fc.fk_equal(sk.skew_signed(w, v), want)
+
+
+# sha256 of golden_routes() under the routes as they stood before their
+# kernels were rewritten in place (Bruhat test by insertion, antipode letters
+# by swaps, terms summed into one dict)
+ROUTES_DIGEST = "ecbee0ef4bf85a8ad8e6bb26ca391995faf76a9c6daad2be5ef6f3ee5ba92658"
+
+
+def golden_routes():
+    """Every route, one line each, on every pair (v, w) of S2 through S5,
+    comparable or not."""
+    lines = []
+    for n in range(2, 6):
+        perms = sg.all_permutations(n)
+        for w in perms:
+            ow = sg.perm_to_oneline(w)
+            for v in perms:
+                ov = sg.perm_to_oneline(v)
+                for method in sk.METHODS:
+                    lines.append(f"{ow} {ov} {method} {sk.compute_skew(w, v, method)}")
+    return "\n".join(lines)
+
+
+def test_routes_match_the_recorded_digest():
+    text = golden_routes()
+    assert len(text.splitlines()) == 4 * (2**2 + 6**2 + 24**2 + 120**2)
+    assert hashlib.sha256(text.encode()).hexdigest() == ROUTES_DIGEST
 
 
 def test_unit_and_zero_cases():

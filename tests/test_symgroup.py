@@ -6,7 +6,14 @@ import pytest
 
 from skewdd import symgroup as sg
 
-from conftest import bruhat_oracle, brute_reduced_words, is_subsequence, right_descents
+from conftest import (
+    brute_length,
+    bruhat_oracle,
+    brute_reduced_words,
+    is_subsequence,
+    prefix_bruhat_oracle,
+    right_descents,
+)
 
 
 def test_identity_and_composition():
@@ -39,15 +46,10 @@ def test_embed_and_common_window():
     assert sg.common_window((2, 1), (1, 3, 2)) == ((2, 1, 3), (1, 3, 2))
 
 
-def test_length_counts_inversions(s4):
-    for w in s4:
-        inv = sum(
-            1
-            for i in range(4)
-            for j in range(i + 1, 4)
-            if w[i] > w[j]
-        )
-        assert sg.length(w) == inv
+def test_length_counts_inversions():
+    for n in range(1, 7):
+        for w in sg.all_permutations(n):
+            assert sg.length(w) == brute_length(w)
 
 
 def test_transposition_and_simple():
@@ -99,6 +101,15 @@ def test_bruhat_matches_subword_criterion(s3, s4):
         for v in perms:
             for w in perms:
                 assert sg.bruhat_leq(v, w) == bruhat_oracle(v, w, n)
+
+
+def test_bruhat_matches_prefix_oracle_on_s5():
+    s5 = sg.all_permutations(5)
+    for v in s5:
+        for w in s5:
+            assert sg.bruhat_leq(v, w) == prefix_bruhat_oracle(v, w)
+    # mixed windows embed before comparing
+    assert sg.bruhat_leq((2, 1), (1, 3, 2)) == prefix_bruhat_oracle((2, 1), (1, 3, 2))
 
 
 def test_bruhat_is_a_partial_order(s4):
