@@ -121,14 +121,17 @@ class _Terms(Terms):
         for key, c in items:
             if not c:
                 continue
+            raw = self._words(key)
+            # every letter is checked before any word of the key can be dropped
+            for word in raw:
+                for a, b in word:
+                    if not (0 < a <= n and 0 < b <= n):
+                        raise ValueError(f"letter ({min(a, b)},{max(a, b)}) outside window {n}")
             words = []
-            for word in self._words(key):
+            for word in raw:
                 w, s = canonical_word(word)
                 if w is None:
                     break
-                for a, b in w:
-                    if not (1 <= a and b <= n):
-                        raise ValueError(f"letter ({a},{b}) outside window {n}")
                 words.append(w)
                 c *= s
             else:
@@ -748,8 +751,10 @@ def nilcoxeter_element(w: Perm, n: int | None = None) -> FKElement:
     """``nilcoxeter_word`` as an element of window n (default: len(w))."""
     if n is None:
         n = len(w)
+    elif len(w) != n:
+        w = symgroup.embed(w, n)
     # a reduced word has oriented letters and no equal neighbours
-    return FKElement._of(n, {nilcoxeter_word(symgroup.embed(w, n)): 1})
+    return FKElement._of(n, {nilcoxeter_word(w): 1})
 
 
 def random_word(rng, n: int, degree: int) -> FKWord:

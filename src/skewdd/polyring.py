@@ -20,6 +20,7 @@ x1*x2
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from . import symgroup
 from .symgroup import Perm, Word
@@ -282,6 +283,10 @@ def schubert(w: Perm, n: int | None = None) -> Poly:
     """The Schubert polynomial of w: apply the divided differences of
     w^{-1} * w0 to the staircase monomial of the window.
 
+    The polynomials are memoized per (w, n) for the life of the process.
+    Each call returns a fresh copy of the terms, so a caller that changes
+    its polynomial leaves the memo as it was.
+
     >>> print(schubert((1, 3, 2)))
     x1 + x2
     >>> print(schubert((2, 1, 3)))
@@ -289,7 +294,11 @@ def schubert(w: Perm, n: int | None = None) -> Poly:
     """
     if n is None:
         n = len(w)
-    w = symgroup.embed(w, n)
+    return Poly._of(n, _schubert(symgroup.embed(w, n), n).terms)
+
+
+@lru_cache(maxsize=None)
+def _schubert(w: Perm, n: int) -> Poly:
     u = symgroup.compose(symgroup.inverse(w), symgroup.longest_element(n))
     return del_perm(u, staircase(n))
 

@@ -60,7 +60,9 @@ def reduced_word_to_longest(v: Perm, n: int) -> Word:
     >>> reduced_word_to_longest(symgroup.longest_element(3), 3)
     ()
     """
-    v_w0 = symgroup.compose(symgroup.embed(v, n), symgroup.longest_element(n))
+    if len(v) != n:
+        v = symgroup.embed(v, n)
+    v_w0 = symgroup.compose(v, symgroup.longest_element(n))
     return tuple(n - i for i in symgroup.canonical_reduced_word(v_w0))
 
 
@@ -221,14 +223,25 @@ def structure_constant(u: Perm, v: Perm, w: Perm) -> int:
     Schubert polynomials, extracted by applying the positive skew element of
     (w, v) to the u polynomial.
 
+    The constants are memoized per triple for the life of the process; an
+    int cannot be changed by the caller who receives it.
+
     >>> structure_constant((2, 1, 3), (2, 1, 3), (3, 1, 2))
     1
     """
     u, v, w = symgroup.common_window(u, v, w)
-    n = len(w)
     if symgroup.length(u) + symgroup.length(v) != symgroup.length(w):
         raise ValueError("structure constants need length(u) + length(v) = length(w)")
-    val = represent(skew_explicit(w, v), polyring.schubert(u, n))
+    return _structure_constant(u, v, w)
+
+
+@lru_cache(maxsize=None)
+def _structure_constant(u: Perm, v: Perm, w: Perm) -> int:
+    return _constant(represent(skew_explicit(w, v), polyring.schubert(u, len(w))))
+
+
+def _constant(val: Poly) -> int:
+    """The value of a skew element applied to a polynomial of its degree."""
     if val.degree() > 0:
         raise ArithmeticError("skew application did not drop to a constant")
     return val.constant_term()
@@ -250,18 +263,33 @@ def structure_constant_oracle(u: Perm, v: Perm, w: Perm) -> int:
 
 
 def structure_constant_table(n: int) -> list[tuple[Perm, Perm, Perm, int]]:
-    """All nonzero structure constants on window n, sorted by (w, u, v)."""
+    """All nonzero structure constants on window n, sorted by (w, u, v).
+
+    Each skew element of a pair v <= w is built once and applied to every
+    Schubert polynomial of the complementary length.  The table does not
+    go through the memo of ``structure_constant``.
+
+    >>> for row in structure_constant_table(2):
+    ...     print(row)
+    ((1, 2), (1, 2), (1, 2), 1)
+    ((1, 2), (2, 1), (2, 1), 1)
+    ((2, 1), (1, 2), (2, 1), 1)
+    """
     perms = symgroup.all_permutations(n)
     by_len: dict[int, list[Perm]] = {}
     for p in perms:
         by_len.setdefault(symgroup.length(p), []).append(p)
+    schub = {u: polyring.schubert(u, n) for u in perms}
     out = []
     for w in perms:
         lw = symgroup.length(w)
-        for lu in range(lw + 1):
-            for u in by_len.get(lu, ()):
-                for v in by_len.get(lw - lu, ()):
-                    c = structure_constant(u, v, w)
+        for lv in range(lw + 1):
+            for v in by_len.get(lv, ()):
+                A = skew_explicit(w, v)
+                if A.is_zero():
+                    continue
+                for u in by_len.get(lw - lv, ()):
+                    c = _constant(represent(A, schub[u]))
                     if c:
                         out.append((u, v, w, c))
     out.sort(key=lambda t: (t[2], t[0], t[1]))

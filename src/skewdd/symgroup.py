@@ -78,8 +78,11 @@ def embed(w: Perm, n: int) -> Perm:
 
 
 def common_window(*perms: Perm) -> tuple[Perm, ...]:
-    """Embed all arguments into the largest window present."""
+    """Embed all arguments into the largest window present; tuples that
+    already share one window come back as they are, uncopied."""
     n = max(len(w) for w in perms)
+    if all(len(w) == n and type(w) is tuple for w in perms):
+        return perms
     return tuple(embed(w, n) for w in perms)
 
 
@@ -170,11 +173,17 @@ def canonical_reduced_word(w: Perm) -> Word:
     i + 1 stands left of i.  s_i * w swaps those two values, so one pass
     swaps entries of the inverse in place.  Before the swap at i there is
     no descent below i, and after it none below i - 1, so the scan for the
-    next one resumes there.
+    next one resumes there.  The words are memoized per permutation for the
+    life of the process; a word is a tuple, so no caller can change one.
 
     >>> canonical_reduced_word((3, 4, 1, 2))
     (2, 1, 3, 2)
     """
+    return _canonical_reduced_word(tuple(w))
+
+
+@lru_cache(maxsize=None)
+def _canonical_reduced_word(w: Perm) -> Word:
     pos = list(inverse(w))
     word = []
     i = 1
@@ -258,7 +267,7 @@ def reduced_subwords(word, u: Perm, n: int | None = None) -> list[tuple[int, ...
     for a in word:
         if not (1 <= a < n):
             raise ValueError(f"letter {a} out of range for window {n}")
-    target = embed(u, n)
+    target = u if len(u) == n else embed(u, n)
     tlen = length(target)
     tpos = inverse(target)
     m = len(word)

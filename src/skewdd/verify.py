@@ -62,7 +62,7 @@ def _check_limits(suite: str, n: int, max_degree: int | None = None) -> None:
     if suite == "canon":
         if n not in _EXPECTED_DIMS:
             raise ResourceLimitError(f"window {n} out of range for this suite (3..4)")
-        top = len(_EXPECTED_DIMS[n]) - 1
+        top = fkcanon.DEFAULT_MAX_DEGREE
         if max_degree is not None and max_degree > top:
             raise ResourceLimitError(f"degree {max_degree} out of range (0..{top})")
         return
@@ -536,10 +536,26 @@ def run_agreement(n: int = 4, samples: int = 50, seed: int = 0) -> list[Check]:
     return checks
 
 
-_EXPECTED_DIMS = {
-    3: (1, 3, 4, 3, 1),
-    4: (1, 6, 19, 42, 71, 96, 106),
-}
+def _q_integer_product(factors: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of the product of the q-integers [k] = 1 + q + ... + q^(k-1).
+
+    >>> _q_integer_product((2, 2, 3))
+    (1, 3, 4, 3, 1)
+    """
+    series = [1]
+    for k in factors:
+        out = [0] * (len(series) + k - 1)
+        for i, c in enumerate(series):
+            for j in range(k):
+                out[i + j] += c
+        series = out
+    return tuple(series)
+
+
+# Hilbert series [2]^2[3] of E_3 and [2]^2[3]^2[4]^2 of E_4 (Fomin-Kirillov
+# 1999), and the degree the canon suite checks through by default
+_EXPECTED_DIMS = {3: _q_integer_product((2, 2, 3)), 4: _q_integer_product((2, 2, 3, 3, 4, 4))}
+_DEFAULT_TOP = {3: 4, 4: 6}
 
 
 def _random_element(
@@ -581,10 +597,9 @@ def run_canon(
     """Check the canonical form: dimensions, vanishing, and linearity."""
     _check_limits("canon", n, max_degree)
     rng = random.Random(seed)
-    expected = _EXPECTED_DIMS[n]
-    if max_degree is not None:
-        expected = expected[: max_degree + 1]
-    top = len(expected) - 1
+    top = _DEFAULT_TOP[n] if max_degree is None else max_degree
+    series = _EXPECTED_DIMS[n]
+    expected = tuple(series[d] if d < len(series) else 0 for d in range(top + 1))
     dims = tuple(fkcanon.graded_dimension(n, d) for d in range(top + 1))
     checks = [
         Check(

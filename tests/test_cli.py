@@ -14,6 +14,7 @@ import pytest
 
 import skewdd
 from skewdd import cli
+from skewdd import fkcanon
 from skewdd import verify
 from skewdd.fkalg import FKElement, FKTensor, ParseError
 from skewdd.fkcanon import ResourceLimitError
@@ -298,21 +299,28 @@ def test_verify_rejects_a_negative_max_degree(capsys):
 
 @pytest.mark.parametrize("n, top", [(3, 4), (4, 6)])
 def test_verify_canon_refuses_a_degree_above_its_table(capsys, n, top):
-    message = f"degree {top + 1} out of range (0..{top})"
+    # the table reaches the canonicalizer's degree cap; top is the default
+    cap = fkcanon.DEFAULT_MAX_DEGREE
+    message = f"degree {cap + 1} out of range (0..{cap})"
     with pytest.raises(ResourceLimitError) as info:
-        verify.run_suite("canon", n=n, samples=1, max_degree=top + 1)
+        verify.run_suite("canon", n=n, samples=1, max_degree=cap + 1)
     assert str(info.value) == message
     code, out, err = run_cli(
         capsys, "verify", "--suite", "canon", "--n", str(n), "--samples", "1",
-        "--max-degree", str(top + 1),
+        "--max-degree", str(cap + 1),
     )
     assert (code, out, err) == (1, "", f"error: {message}\n")
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "canon", "--n", str(n), "--samples", "1",
-        "--max-degree", str(top),
+        "--max-degree", str(cap),
     )
     assert code == 0
-    assert f"dim({n},{top})=" in out
+    assert f"dim({n},{cap})=" in out
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "canon", "--n", str(n), "--samples", "1",
+    )
+    assert code == 0
+    assert f"dim({n},{top})=" in out and f"dim({n},{top + 1})=" not in out
 
 
 @pytest.mark.parametrize("suite, check, scope", [
@@ -355,7 +363,7 @@ def _record_runners(monkeypatch):
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"max_degree": 5}, "degree 5 out of range (0..4)"),
+    ({"max_degree": 8}, "degree 8 out of range (0..7)"),
     ({"max_degree": 9}, "degree 9 out of range (0..8)"),
     ({"n": 2}, "window 2 out of range for this suite (3..4)"),
 ], ids=("canon-degree", "hopf-degree", "canon-window"))

@@ -206,6 +206,20 @@ def test_tensor_constructor_orients_and_validates():
         fk.FKTensor.from_json(bad)
 
 
+def test_window_is_checked_before_a_word_is_dropped():
+    # the word x(1,7)x(1,7) would be dropped as zero, but window 2 has no 7
+    with pytest.raises(ValueError, match="outside window 2"):
+        fk.FKElement.from_json('{"n":2,"terms":[{"coeff":1,"word":[[1,7],[7,1]]}]}')
+    with pytest.raises(ValueError, match="outside window 2"):
+        fk.FKElement(2, {((1, 7), (1, 7)): 1})
+    bad = '{"n":2,"terms":[{"coeff":1,"left":[[1,7],[7,1]],"right":[]}]}'
+    with pytest.raises(ValueError, match="outside window 2"):
+        fk.FKTensor.from_json(bad)
+    # a dropped left word does not spare the right one its check
+    with pytest.raises(ValueError, match="outside window 2"):
+        fk.FKTensor(2, {(((1, 2), (1, 2)), ((1, 7),)): 1})
+
+
 def test_delta_and_nabla_worked_examples():
     a = fk.FKElement.parse("x(1,2)x(2,3)x(1,2)", 3)
     assert fk.delta_op(((2, 3),), a) == fk.FKElement.parse("x(1,3)x(1,2)", 3)

@@ -9,6 +9,7 @@ import pytest
 from skewdd import fkalg as fk
 from skewdd import fkcanon as fc
 from skewdd import symgroup as sg
+from skewdd import verify
 
 from conftest import hilbert_series, raw_dimension, raw_ideal_rank, relation_basis
 
@@ -64,6 +65,14 @@ def test_full_hilbert_series_of_window_4():
     dims = [fc.graded_dimension(4, d, max_degree=13) for d in range(14)]
     assert dims == hilbert_series((2, 2, 3, 3, 4, 4), 13)
     assert sum(dims) == 576 and dims[12] == 1 and dims[13] == 0
+
+
+def test_canon_suite_series_match_the_canonicalizer():
+    series = verify._EXPECTED_DIMS
+    assert series[3] == (1, 3, 4, 3, 1)
+    assert series[4] == (1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1)
+    assert [fc.graded_dimension(4, d) for d in range(8)] == list(series[4][:8])
+    assert [fc.graded_dimension(3, d) for d in range(8)] == list(series[3]) + [0, 0, 0]
 
 
 def test_hilbert_series_of_window_5_through_degree_6():

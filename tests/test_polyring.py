@@ -214,6 +214,14 @@ def test_schubert_small_cases():
     assert pr.schubert((3, 2, 1)) == pr.staircase(3)
 
 
+def test_schubert_accepts_lists_and_a_wider_window():
+    assert pr.schubert([2, 1, 3]) == pr.schubert((2, 1, 3)) == pr.Poly.parse("x1", 3)
+    wide = pr.schubert((2, 1), 3)
+    assert wide.n == 3 and wide == pr.schubert((2, 1, 3))
+    with pytest.raises(ValueError):
+        pr.schubert((2, 1, 3), 2)
+
+
 def test_schubert_matches_compatible_sequences(s3, s4):
     for perms, n in ((s3, 3), (s4, 4)):
         for w in perms:

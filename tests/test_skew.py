@@ -136,9 +136,32 @@ def test_structure_constant_examples():
 
 
 def test_structure_constant_rejects_a_nonconstant_remainder(monkeypatch):
+    # the degree check runs when a triple is computed, not on a memo hit
+    sk._structure_constant.cache_clear()
     monkeypatch.setattr(sk, "represent", lambda A, P: pr.Poly.parse("x1", 3))
     with pytest.raises(ArithmeticError, match="constant"):
         sk.structure_constant((2, 1, 3), (2, 1, 3), (3, 1, 2))
+    with pytest.raises(ArithmeticError, match="constant"):
+        sk.structure_constant_table(3)
+
+
+def test_memoized_schubert_polynomials_are_not_shared():
+    sk._structure_constant.cache_clear()
+    u, v, w = (1, 3, 2), (1, 3, 2), (2, 3, 1)
+    first = pr.schubert(u, 3)
+    want = dict(first.terms)
+    first.terms.clear()
+    first.terms[(0, 0, 3)] = 5
+    assert pr.schubert(u, 3).terms == want
+    assert sk.structure_constant(u, v, w) == 1 == sk.structure_constant_oracle(u, v, w)
+
+
+def test_structure_constant_memo_tells_triples_apart():
+    sk._structure_constant.cache_clear()
+    u = (2, 1, 3)
+    assert sk.structure_constant(u, u, (3, 1, 2)) == 1
+    assert sk.structure_constant(u, u, (2, 3, 1)) == 0
+    assert sk.structure_constant(u, u, (3, 1, 2)) == 1
 
 
 def test_recurrence_results_are_not_shared():
@@ -151,8 +174,10 @@ def test_recurrence_results_are_not_shared():
 
 
 def test_structure_constant_needs_additive_lengths():
-    with pytest.raises(ValueError):
-        sk.structure_constant((2, 1, 3), (2, 1, 3), (3, 2, 1))
+    # asked twice: a refused triple never reaches the memo
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            sk.structure_constant((2, 1, 3), (2, 1, 3), (3, 2, 1))
 
 
 def test_structure_constants_match_oracle_sample(s4):
@@ -193,3 +218,16 @@ def test_table_is_symmetric_in_the_factors():
     rows = sk.structure_constant_table(3)
     table = {(u, v, w): c for u, v, w, c in rows}
     assert table == {(v, u, w): c for (u, v, w), c in table.items()}
+
+
+def test_structure_constant_table_matches_the_oracle_on_s4(s4):
+    table = {(u, v, w): c for u, v, w, c in sk.structure_constant_table(4)}
+    want = {}
+    for w in s4:
+        for u in s4:
+            for v in s4:
+                if sg.length(u) + sg.length(v) == sg.length(w):
+                    c = sk.structure_constant_oracle(u, v, w)
+                    if c:
+                        want[(u, v, w)] = c
+    assert table == want

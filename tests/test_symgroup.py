@@ -44,6 +44,10 @@ def test_embed_and_common_window():
     with pytest.raises(ValueError):
         sg.embed((2, 1, 3), 2)
     assert sg.common_window((2, 1), (1, 3, 2)) == ((2, 1, 3), (1, 3, 2))
+    assert sg.common_window([2, 1], (1, 2)) == ((2, 1), (1, 2))
+    u, v = (2, 1, 3), (1, 3, 2)
+    same = sg.common_window(u, v)
+    assert same[0] is u and same[1] is v
 
 
 def test_length_counts_inversions():
@@ -83,6 +87,11 @@ def test_descents(s4):
             assert sg.length(sg.compose(sg.simple(i, 4), w)) == sg.length(w) - 1
         for i in rights:
             assert sg.length(sg.compose(w, sg.simple(i, 4))) == sg.length(w) - 1
+
+
+def test_canonical_reduced_word_accepts_a_list():
+    assert sg.canonical_reduced_word([2, 1, 3]) == (1,)
+    assert sg.canonical_reduced_word([3, 4, 1, 2]) == sg.canonical_reduced_word((3, 4, 1, 2))
 
 
 def test_canonical_reduced_word_is_lex_least(s4):
